@@ -31,7 +31,7 @@ pub trait SubjectSource {
 }
 
 /// Search configuration (the blastp defaults mirror NCBI's).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchParams {
     /// Molecule searched.
     pub molecule: Molecule,

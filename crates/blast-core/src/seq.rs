@@ -6,7 +6,7 @@ use crate::alphabet::{decode, encode, EncodeError, Molecule};
 ///
 /// Residues are stored encoded (see [`crate::alphabet`]); use
 /// [`SeqRecord::residues_ascii`] to recover letters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeqRecord {
     /// The full defline, without the leading `>` and without a trailing
     /// newline, e.g. `gi|129295|sp|P01013| ovalbumin [Gallus gallus]`.

@@ -11,7 +11,7 @@ use crate::karlin::KarlinParams;
 
 /// Global statistics of a database, carried in the formatted-DB index and
 /// broadcast to all workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DbStats {
     /// Number of sequences in the whole database.
     pub num_sequences: u64,

@@ -126,11 +126,12 @@ fn parse_u64(key: &str, value: &str) -> Result<u64, ArgError> {
     };
     digits
         .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| ArgError::BadValue {
+        .ok()
+        .and_then(|v| v.checked_mul(mult))
+        .ok_or_else(|| ArgError::BadValue {
             option: key.to_string(),
             value: value.to_string(),
-            expected: "an integer (suffixes k/M/G allowed)",
+            expected: "an integer below 2^64 (suffixes k/M/G allowed)",
         })
 }
 
@@ -161,6 +162,28 @@ mod tests {
         assert_eq!(a.require_u64("big").unwrap(), 1_000_000_000);
         let a = parse(&["gen", "--n", "1_500_000"]).unwrap();
         assert_eq!(a.require_u64("n").unwrap(), 1_500_000);
+    }
+
+    #[test]
+    fn overflowing_values_are_rejected() {
+        let max = u64::MAX.to_string();
+        let a = parse(&[
+            "x",
+            "--max",
+            &max,
+            "--g",
+            "20000000000G",
+            "--k",
+            "18446744073709552k",
+        ])
+        .unwrap();
+        assert_eq!(a.require_u64("max").unwrap(), u64::MAX);
+        for key in ["g", "k"] {
+            assert!(matches!(
+                a.require_u64(key).unwrap_err(),
+                ArgError::BadValue { .. }
+            ));
+        }
     }
 
     #[test]

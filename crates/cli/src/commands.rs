@@ -325,8 +325,9 @@ fn parse_size(text: &str) -> Result<u64, CliError> {
     };
     digits
         .parse::<u64>()
-        .map(|n| n.saturating_mul(mult))
-        .map_err(|_| CliError(format!("bad size {text:?} (expected e.g. 1048576 or 64M)")))
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| CliError(format!("bad size {text:?} (expected e.g. 1048576 or 64M)")))
 }
 
 /// Parse `--trace-filter io,net` into lanes (`None` = all lanes).
@@ -1158,6 +1159,11 @@ mod tests {
         assert_eq!(defaults, pioblast::IoOptions::default());
 
         assert!(io_options(&args(&["run", "--io-strategy", "mmap"])).is_err());
+
+        let burst =
+            |cap: &str| io_options(&args(&["run", "--burst-buffer", "--burst-capacity", cap]));
+        assert_eq!(burst("64M").unwrap().burst.unwrap().capacity, 64 << 20);
+        assert!(burst("20000000000G").is_err(), "overflowing size accepted");
     }
 
     #[test]

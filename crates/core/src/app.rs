@@ -211,13 +211,16 @@ pub fn run_rank(ctx: &RankCtx, cfg: &PioBlastConfig) -> Result<RankReport, PioEr
 mod tests {
     use super::*;
     use blast_core::search::SearchParams;
+    use std::sync::Arc;
+
+    use mpiblast::model::PrepareMemo;
     use mpiblast::phases;
     use mpiblast::report::serial_report;
     use mpiblast::setup::{stage_queries, stage_shared_db};
     use seqfmt::formatdb::{format_records, FormatDbConfig};
     use seqfmt::synth::{generate, SynthConfig};
     use seqfmt::FragmentData;
-    use simcluster::Sim;
+    use simcluster::{Sim, SimDuration};
 
     fn small_db(cap: Option<u64>) -> seqfmt::FormattedDb {
         let recs = generate(&SynthConfig::nr_like(21, 40_000));
@@ -282,7 +285,9 @@ mod tests {
         }
     }
 
-    fn run_opts(opts: Opts) -> (Vec<u8>, Vec<RankReport>) {
+    /// A simulation and a modeled-compute configuration for `opts`, with
+    /// the database and queries staged on the shared file system.
+    fn setup(opts: &Opts) -> (Sim, PioBlastConfig) {
         let db = small_db(opts.cap);
         let queries = sample_queries(&db, opts.n_queries);
         let sim = Sim::new(opts.nranks);
@@ -290,8 +295,8 @@ mod tests {
         let db_alias = stage_shared_db(&env.shared, &db);
         let query_path = stage_queries(&env.shared, &queries);
         let cfg = PioBlastConfig {
-            platform: opts.platform,
-            env: env.clone(),
+            platform: opts.platform.clone(),
+            env,
             compute: ComputeModel::modeled(),
             params: SearchParams::blastp(),
             report: ReportOptions::default(),
@@ -311,14 +316,26 @@ mod tests {
             io: opts.io,
             service: None,
         };
-        let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
-        let output = env.shared.peek("results.txt").unwrap_or_default();
+        (sim, cfg)
+    }
+
+    fn run_opts(opts: Opts) -> (Vec<u8>, Vec<RankReport>) {
+        let (output, reports, _) = run_opts_memo(opts);
+        (output, reports)
+    }
+
+    /// [`run_opts`], plus the run's shared prepare memo.
+    fn run_opts_memo(opts: Opts) -> (Vec<u8>, Vec<RankReport>, Arc<PrepareMemo>) {
+        let (sim, cfg) = setup(&opts);
+        let outcome = sim.run(|ctx| (run_rank(&ctx, &cfg), ctx.shared::<PrepareMemo>()));
+        let output = cfg.env.shared.peek("results.txt").unwrap_or_default();
+        let memo = Arc::clone(&outcome.outputs[0].1);
         let reports = outcome
             .outputs
             .into_iter()
-            .map(|r| r.expect("rank completed"))
+            .map(|(r, _)| r.expect("rank completed"))
             .collect();
-        (output, reports)
+        (output, reports, memo)
     }
 
     fn run_once(
@@ -437,6 +454,53 @@ mod tests {
             });
             assert_eq!(batched, reference, "batch size {batch}");
         }
+    }
+
+    #[test]
+    fn prepare_memo_prepares_each_batch_once_at_64_ranks() {
+        let db = small_db(None);
+        let expected = serial_report(
+            &SearchParams::blastp(),
+            sample_queries(&db, 5),
+            &db,
+            ReportOptions::default(),
+        )
+        .expect("serial oracle");
+        let (got, _, memo) = run_opts_memo(Opts {
+            nranks: 64,
+            n_queries: 5,
+            query_batch: Some(2),
+            ..Opts::default()
+        });
+        assert_eq!(got, expected);
+        // Five queries in batches of two: all 64 ranks prepare three
+        // distinct batches, and each is prepared for real exactly once.
+        assert_eq!(memo.misses(), 3);
+    }
+
+    #[test]
+    fn measured_prepare_hits_charge_recorded_seconds_times_rank_scale() {
+        let (sim, mut cfg) = setup(&Opts {
+            nranks: 3,
+            rank_compute: Some(vec![1.0, 1.0, 2.0]),
+            ..Opts::default()
+        });
+        cfg.compute = ComputeModel::measured();
+        let db = small_db(None);
+        let queries = sample_queries(&db, 3);
+        let out = sim.run(|ctx| {
+            let t = ctx.now();
+            let model = cfg.compute_for(ctx.rank());
+            model.prepare(&ctx, &cfg.params, queries.clone(), db.stats());
+            (ctx.now() - t, ctx.shared::<PrepareMemo>())
+        });
+        let memo = &out.outputs[0].1;
+        assert_eq!(memo.misses(), 1, "one real prepare for three ranks");
+        let recorded = memo.wall_secs();
+        let charged: Vec<SimDuration> = out.outputs.iter().map(|(d, _)| *d).collect();
+        assert_eq!(charged[0], SimDuration::from_secs_f64(recorded));
+        assert_eq!(charged[1], SimDuration::from_secs_f64(recorded));
+        assert_eq!(charged[2], SimDuration::from_secs_f64(2.0 * recorded));
     }
 
     #[test]

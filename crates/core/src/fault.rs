@@ -104,10 +104,11 @@ mod tests {
     use blast_core::seq::SeqRecord;
     use mpiblast::platform::{ClusterEnv, Platform};
     use mpiblast::setup::{stage_queries, stage_shared_db};
-    use mpiblast::{ComputeModel, RankReport, ReportOptions};
+    use mpiblast::{ComputeModel, ModelParams, RankReport, ReportOptions};
     use seqfmt::formatdb::{format_records, FormatDbConfig};
     use seqfmt::synth::{generate, SynthConfig};
-    use simcluster::{FaultPlan, Sim};
+    use simcluster::{FaultPlan, Sim, SimDuration, SimTime};
+    use tracelog::{Lane, Tracer};
 
     fn small_db() -> seqfmt::FormattedDb {
         let recs = generate(&SynthConfig::nr_like(21, 40_000));
@@ -149,9 +150,24 @@ mod tests {
         checkpoint: bool,
         plan: FaultPlan,
     ) -> (Vec<u8>, FaultyOutputs, Vec<usize>) {
+        run_traced(nranks, nfrags, schedule, fault, checkpoint, plan, None)
+    }
+
+    fn run_traced(
+        nranks: usize,
+        nfrags: usize,
+        schedule: FragmentSchedule,
+        fault: FaultMode,
+        checkpoint: bool,
+        plan: FaultPlan,
+        tracer: Option<&Tracer>,
+    ) -> (Vec<u8>, FaultyOutputs, Vec<usize>) {
         let db = small_db();
         let queries = sample_queries(&db, 3);
         let sim = Sim::new(nranks);
+        if let Some(t) = tracer {
+            sim.set_tracer(t.clone());
+        }
         let env = ClusterEnv::new(&sim, &Platform::altix());
         let db_alias = stage_shared_db(&env.shared, &db);
         let query_path = stage_queries(&env.shared, &queries);
@@ -259,6 +275,50 @@ mod tests {
             assert_eq!(bytes, reference, "ckpt={checkpoint}");
             assert!(matches!(outputs[0], Some(Ok(_))), "master survives");
             assert!(matches!(outputs[4], Some(Ok(_))), "last worker survives");
+        }
+    }
+
+    /// The prepare memo publishes a batch before charging its prepare,
+    /// so a worker killed inside that charge leaves a complete entry
+    /// behind, and recovery still reproduces the fault-free bytes.
+    #[test]
+    fn kill_during_prepare_charge_recovers_byte_identically() {
+        let reference = reference_bytes();
+        let residues: u64 = sample_queries(&small_db(), 3)
+            .iter()
+            .map(|q| q.len() as u64)
+            .sum();
+        let charge = SimDuration::from_secs_f64(
+            ModelParams::default().per_prepare_residue * residues as f64,
+        )
+        .0;
+        let tracer = Tracer::new(4);
+        let recover = |plan, tracer| {
+            let dynamic = FragmentSchedule::Dynamic;
+            run_traced(4, 9, dynamic, FaultMode::Recover, false, plan, tracer)
+        };
+        recover(FaultPlan::none(), Some(&tracer));
+        let trace = tracer.finish(0);
+        for victim in 1..4 {
+            // The victim's prepare charge: the one engine block whose
+            // next wake comes exactly one modeled prepare later.
+            let engine: Vec<_> = trace
+                .events
+                .iter()
+                .filter(|e| e.rank == victim && e.lane == Lane::Engine)
+                .collect();
+            let starts: Vec<u64> = engine
+                .windows(2)
+                .filter(|w| w[0].name == "block" && w[1].name == "wake")
+                .filter(|w| w[1].t - w[0].t == charge)
+                .map(|w| w[0].t)
+                .collect();
+            assert_eq!(starts.len(), 1, "rank {victim} prepares once");
+            let plan = FaultPlan::none().kill_at(victim, SimTime(starts[0] + charge / 2));
+            let (bytes, outputs, killed) = recover(plan, None);
+            assert_eq!(killed, vec![victim]);
+            assert!(matches!(outputs[0], Some(Ok(_))), "master survives");
+            assert_eq!(bytes, reference, "rank {victim} killed mid-prepare");
         }
     }
 

@@ -21,7 +21,7 @@ use std::fmt;
 
 use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
-use blast_core::search::{BlastSearcher, PreparedQueries, SearchScratch, SearchStats, SubjectHit};
+use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
 use bytes::Bytes;
 use mpiio::{FileView, IoOptions, IoPlane, IoStrategy, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
@@ -182,10 +182,9 @@ fn run_master(
         queries,
     };
     comm.bcast(MASTER, Bytes::from(bundle.encode()));
-    let total_q_residues: u64 = bundle.queries.iter().map(|q| q.len() as u64).sum();
-    let prepared = cfg.compute.run_prepare(ctx, total_q_residues, || {
-        PreparedQueries::prepare(&cfg.params, bundle.queries.clone(), bundle.db_stats)
-    });
+    let prepared = cfg
+        .compute
+        .prepare(ctx, &cfg.params, bundle.queries.clone(), bundle.db_stats);
     let report_cfg =
         ReportConfig::for_molecule(bundle.molecule, bundle.db_title.clone(), bundle.db_stats);
     phases.add(phases::OTHER, now() - start);
@@ -385,7 +384,6 @@ fn run_worker(
     let bundle_bytes = comm.bcast(MASTER, Bytes::new());
     let bundle = QueryBundle::decode(&bundle_bytes)
         .map_err(|e| ProtocolError::Malformed(format!("query bundle: {e}")))?;
-    let total_q_residues: u64 = bundle.queries.iter().map(|q| q.len() as u64).sum();
     let mut stats_total = SearchStats::default();
 
     // Fragments this worker searched, kept in memory to serve fetches.
@@ -443,15 +441,16 @@ fn run_worker(
         // embedded in the search via mmap), then run the kernel. Each
         // fragment is a fresh BLAST engine invocation, so the query set
         // is re-prepared every time — blastall-per-fragment behaviour,
-        // and a real per-fragment cost mpiBLAST pays.
+        // and a real per-fragment cost mpiBLAST pays. Every fragment is
+        // charged; the host computes the batch once per run.
         let search_start = now();
         let idx = private.read_all(ctx, &copied[0].0).expect("idx copy");
         let seq = private.read_all(ctx, &copied[1].0).expect("seq copy");
         let hdr = private.read_all(ctx, &copied[2].0).expect("hdr copy");
         let frag = FragmentData::from_file_bytes(&idx, seq, hdr).expect("valid fragment");
-        let prepared = cfg.compute.run_prepare(ctx, total_q_residues, || {
-            PreparedQueries::prepare(&cfg.params, bundle.queries.clone(), bundle.db_stats)
-        });
+        let prepared =
+            cfg.compute
+                .prepare(ctx, &cfg.params, bundle.queries.clone(), bundle.db_stats);
         let searcher = BlastSearcher::new(&cfg.params, &prepared);
         let (per_query, stats) = cfg.compute.run_search(ctx, || {
             let r = searcher.search(&frag, &mut scratch);

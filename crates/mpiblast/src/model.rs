@@ -5,8 +5,21 @@
 //! analytical costs from work counters (used by tests, where results must
 //! be bit-stable across hosts). Both modes run the *actual* computation —
 //! only the virtual-time charge differs.
+//!
+//! Query preparation is the one exception to "every rank runs the real
+//! code": every rank prepares the same query batch, so the real
+//! [`PreparedQueries::prepare`] runs once per run and batch, through the
+//! run-scoped [`PrepareMemo`], and every rank is charged as if it had
+//! prepared the batch itself (see [`ComputeModel::prepare`]).
 
-use blast_core::search::SearchStats;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
+
+use blast_core::search::{PreparedQueries, SearchParams, SearchStats};
+use blast_core::seq::SeqRecord;
+use blast_core::DbStats;
 use simcluster::{RankCtx, SimDuration};
 
 /// How compute segments are charged to the virtual clock.
@@ -201,19 +214,33 @@ impl ComputeModel {
         }
     }
 
-    /// Run query preparation (masking + lookup build) over `residues`
-    /// total query residues.
-    pub fn run_prepare<T>(&self, ctx: &RankCtx, residues: u64, f: impl FnOnce() -> T) -> T {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let out = f();
-                ctx.charge(SimDuration::from_secs_f64(
-                    p.per_prepare_residue * residues as f64,
-                ));
-                out
-            }
-        }
+    /// Prepare a query batch (masking + lookup build) for search against
+    /// a database with global statistics `db`, and charge the rank for it.
+    ///
+    /// The real [`PreparedQueries::prepare`] runs once per distinct
+    /// `(params, db, records)` per run: the result lives in the run's
+    /// [`PrepareMemo`], and every rank that prepares the same batch gets
+    /// the same `Arc`. Each call still charges its own rank: `Modeled`
+    /// charges `per_prepare_residue` per query residue, and `Measured`
+    /// charges the wall time of the one real prepare times this model's
+    /// scale, so virtual time is as if every rank had done the work.
+    pub fn prepare(
+        &self,
+        ctx: &RankCtx,
+        params: &SearchParams,
+        records: Vec<SeqRecord>,
+        db: DbStats,
+    ) -> Arc<PreparedQueries> {
+        let residues: u64 = records.iter().map(|q| q.len() as u64).sum();
+        // The entry is published before the charge: the charge yields,
+        // and every rank that reaches its prepare meanwhile must hit.
+        let (prepared, wall_secs) = ctx.shared::<PrepareMemo>().get(params, records, db);
+        let secs = match *self {
+            ComputeModel::Measured { scale } => wall_secs * scale,
+            ComputeModel::Modeled(p) => p.per_prepare_residue * residues as f64,
+        };
+        ctx.charge(SimDuration::from_secs_f64(secs));
+        prepared
     }
 
     /// Run the master-side handling of one received result message.
@@ -258,6 +285,70 @@ impl ComputeModel {
                 out
             }
         }
+    }
+}
+
+/// A run's prepared query batches, keyed by content and shared by every
+/// rank through [`RankCtx::shared`] (see [`ComputeModel::prepare`]).
+#[derive(Default)]
+pub struct PrepareMemo {
+    /// Entries bucketed by a hash of `(db, records)`.
+    entries: Mutex<BTreeMap<u64, Vec<MemoEntry>>>,
+}
+
+struct MemoEntry {
+    params: SearchParams,
+    db: DbStats,
+    prepared: Arc<PreparedQueries>,
+    /// Wall seconds the real prepare took, unscaled.
+    wall_secs: f64,
+}
+
+impl PrepareMemo {
+    /// The prepared batch for `(params, records, db)` and the wall
+    /// seconds its one real prepare took, preparing it on a miss.
+    fn get(
+        &self,
+        params: &SearchParams,
+        records: Vec<SeqRecord>,
+        db: DbStats,
+    ) -> (Arc<PreparedQueries>, f64) {
+        let mut h = DefaultHasher::new();
+        (db, &records).hash(&mut h);
+        let mut entries = self.entries();
+        let bucket = entries.entry(h.finish()).or_default();
+        if let Some(e) = bucket
+            .iter()
+            .find(|e| e.db == db && e.prepared.records == records && e.params == *params)
+        {
+            return (Arc::clone(&e.prepared), e.wall_secs);
+        }
+        let start = std::time::Instant::now();
+        let prepared = Arc::new(PreparedQueries::prepare(params, records, db));
+        let wall_secs = start.elapsed().as_secs_f64();
+        bucket.push(MemoEntry {
+            params: params.clone(),
+            db,
+            prepared: Arc::clone(&prepared),
+            wall_secs,
+        });
+        (prepared, wall_secs)
+    }
+
+    /// How many times the real prepare ran: one per distinct batch.
+    pub fn misses(&self) -> u64 {
+        self.entries().values().map(|b| b.len() as u64).sum()
+    }
+
+    /// Total wall seconds the real prepares took, unscaled.
+    pub fn wall_secs(&self) -> f64 {
+        self.entries().values().flatten().map(|e| e.wall_secs).sum()
+    }
+
+    fn entries(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Vec<MemoEntry>>> {
+        self.entries
+            .lock()
+            .expect("no rank panicked inside the memo")
     }
 }
 

@@ -30,6 +30,7 @@
 //! live fiber before [`Sim::try_run_faulty`] surfaces a typed
 //! [`SimError`] — nothing is left parked for a join to deadlock on.
 
+use std::any::{Any, TypeId};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -315,9 +316,15 @@ enum Reply {
     Unwound(Option<usize>),
 }
 
+/// A run-scoped value shared by every rank (see [`RankCtx::shared`]).
+type SharedSlot = Arc<dyn Any + Send + Sync>;
+
 struct Inner {
     state: Mutex<EngineState>,
     tracer: Mutex<Option<tracelog::Tracer>>,
+    /// One [`RankCtx::shared`] instance per type, emptied when the run
+    /// ends.
+    shared: Mutex<HashMap<TypeId, SharedSlot>>,
 }
 
 impl Inner {
@@ -403,6 +410,7 @@ impl Sim {
                 stats: EngineStats::default(),
             }),
             tracer: Mutex::new(None),
+            shared: Mutex::new(HashMap::new()),
         });
         Sim {
             inner,
@@ -769,6 +777,8 @@ impl Sim {
                 let _ = tx.send(Cmd::Exit);
             }
         });
+        // Run-scoped state dies with the run, not with the last handle.
+        inner.shared.lock().clear();
 
         if let Some(e) = error {
             return Err(e);
@@ -943,6 +953,23 @@ impl RankCtx {
             let mut st = self.inner.state.lock();
             st.schedule(self.rank, target);
         }
+    }
+
+    /// The run's one shared instance of `T`, created with `T::default()`
+    /// on first use by any rank and dropped when the run ends. Ranks use
+    /// it to share host-side work whose result is the same on every rank
+    /// (a memo): it is invisible to virtual time, so each rank must still
+    /// charge its own cost for what it looks up.
+    pub fn shared<T: Default + Send + Sync + 'static>(&self) -> Arc<T> {
+        let slot = Arc::clone(
+            self.inner
+                .shared
+                .lock()
+                .entry(TypeId::of::<T>())
+                .or_insert_with(|| Arc::new(T::default())),
+        );
+        slot.downcast::<T>()
+            .expect("shared slots are keyed by type")
     }
 
     /// Run real code and charge its measured wall time (scaled by
@@ -1711,6 +1738,38 @@ mod tests {
         let base = run(1);
         for pool in [2, 3, 16] {
             assert_eq!(run(pool), base, "pool={pool} diverged from pool=1");
+        }
+    }
+
+    #[test]
+    fn shared_slot_is_one_instance_per_run() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        #[derive(Default)]
+        struct Tally(AtomicUsize);
+        let run = |pool: usize| {
+            let out = Sim::with_pool(6, pool).run(|ctx| {
+                let tally = ctx.shared::<Tally>();
+                tally.0.fetch_add(1, Ordering::Relaxed);
+                // Yield so ranks interleave (and migrate across the
+                // pool) between the two lookups.
+                ctx.charge(SimDuration::from_micros(ctx.rank() as u64 + 1));
+                let again = ctx.shared::<Tally>();
+                assert!(Arc::ptr_eq(&tally, &again), "same instance after a yield");
+                tally
+            });
+            let first = &out.outputs[0];
+            for t in &out.outputs {
+                assert!(Arc::ptr_eq(first, t), "every rank sees one instance");
+            }
+            assert_eq!(first.0.load(Ordering::Relaxed), 6);
+            Arc::clone(first)
+        };
+        for pool in [1, 2] {
+            let a = run(pool);
+            let b = run(pool);
+            assert!(!Arc::ptr_eq(&a, &b), "each run starts fresh");
+            // The engine dropped its reference when each run ended.
+            assert_eq!(Arc::strong_count(&a), 1);
         }
     }
 

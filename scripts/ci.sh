@@ -100,6 +100,19 @@ done
   --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
   --out "$tracetmp/report-16ref.txt"
 cmp "$tracetmp/report-128.txt" "$tracetmp/report-16ref.txt"
+# Same scale with query batches of two: all 128 ranks prepare every
+# batch, so the run-scoped prepare memo serves hits across ranks and
+# batches. The report must match a 16-rank run with the same batches.
+# (The batched reference is itself batched: on these queries batching
+# changes the report bytes, because an ungapped extension can run
+# across the sentinel into a neighbouring query.)
+"$cli" run --program pio --procs 128 --frags 15 --batch 2 \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-128b2.txt"
+"$cli" run --program pio --procs 16 --frags 15 --batch 2 \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-16b2.txt"
+cmp "$tracetmp/report-128b2.txt" "$tracetmp/report-16b2.txt"
 # Burst-buffer gate: staging output writes in the per-node burst buffer
 # striped across four backing files must export a well-formed trace
 # (stage.put/stage.drain spans validate with everything else) and the

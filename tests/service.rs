@@ -16,6 +16,8 @@ use std::sync::OnceLock;
 
 use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
+use mpiblast::model::PrepareMemo;
+use mpiblast::report::serial_report;
 use mpiblast::setup::{stage_queries, stage_shared_db};
 use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
 use pioblast::{
@@ -59,6 +61,8 @@ struct ServiceRun {
     batches: Vec<Vec<u8>>,
     killed: Vec<usize>,
     metrics: ServiceMetrics,
+    /// Real query prepares the run's shared memo performed.
+    prepare_misses: u64,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -110,7 +114,10 @@ fn run_service(
             affinity,
         }),
     };
-    let out = sim.run_faulty(fplan, |ctx| pioblast::run_rank(&ctx, &cfg));
+    let out = sim.run_faulty(fplan, |ctx| {
+        (pioblast::run_rank(&ctx, &cfg), ctx.shared::<PrepareMemo>())
+    });
+    let prepare_misses = out.outputs[0].as_ref().map_or(0, |(_, memo)| memo.misses());
     let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
     let batches = (0..plan.batches.len())
         .map(|b| {
@@ -123,6 +130,7 @@ fn run_service(
         batches,
         killed: out.killed,
         metrics: ServiceMetrics::from_trace(&trace),
+        prepare_misses,
     }
 }
 
@@ -216,6 +224,34 @@ fn service_reports_match_one_shot_runs_without_faults() {
                 }
             }
         }
+    }
+}
+
+/// At 64 ranks every rank prepares every stream batch, but the run's
+/// shared memo prepares each batch for real exactly once, and every
+/// batch's report still matches the serial reference.
+#[test]
+fn prepare_memo_prepares_each_stream_batch_once() {
+    let plan = fixed_plan();
+    let run = run_service(
+        64,
+        9,
+        &plan,
+        64 << 20,
+        true,
+        false,
+        1,
+        FaultMode::Off,
+        FaultPlan::none(),
+    );
+    assert_eq!(run.prepare_misses, plan.batches.len() as u64);
+    let db = small_db();
+    let queries = sample_queries(&db, plan.total_queries());
+    let parts = plan.partition(&queries).expect("plan matches its queries");
+    for (b, (got, part)) in run.batches.iter().zip(parts).enumerate() {
+        let want = serial_report(&SearchParams::blastp(), part, &db, ReportOptions::default())
+            .expect("serial oracle");
+        assert_eq!(got, &want, "batch {b}");
     }
 }
 
