@@ -173,35 +173,23 @@ pub fn read_fragments(
             buffers.push(Default::default());
             continue;
         }
-        // Index file: both table slices of every fragment (adjacent
-        // fragments share a boundary entry, so spans must be coalesced).
-        let idx_spans = coalesce_spans(
-            mine.iter()
-                .flat_map(|a| [a.spec.idx_seq_range, a.spec.idx_hdr_range])
-                .map(|(lo, hi)| (lo, hi - lo))
-                .collect(),
-        );
-        let seq_spans = coalesce_spans(
-            mine.iter()
-                .map(|a| (a.spec.seq_range.0, a.spec.seq_range.1 - a.spec.seq_range.0))
-                .collect(),
-        );
-        let hdr_spans = coalesce_spans(
-            mine.iter()
-                .map(|a| (a.spec.hdr_range.0, a.spec.hdr_range.1 - a.spec.hdr_range.0))
-                .collect(),
-        );
-        let read = |ext: &str, spans: &[(u64, u64)]| -> Result<RangeBuffers, InputError> {
-            let view = FileView::new(0, spans.to_vec())
+        // Per file, the union of every fragment's spans (adjacent
+        // fragments share an index-table boundary entry, so the union is
+        // coalesced again).
+        let mut spans: [Vec<(u64, u64)>; 3] = Default::default();
+        for a in &mine {
+            for (all, own) in spans.iter_mut().zip(fragment_spans(a)) {
+                all.extend(own);
+            }
+        }
+        let read = |ext: &str, spans: Vec<(u64, u64)>| -> Result<RangeBuffers, InputError> {
+            let view = FileView::new(0, spans.clone())
                 .map_err(|e| InputError::Fragment(format!("bad span set: {e}")))?;
             let data = plane.db_read(&format!("db/{vol}.{ext}"), &view)?;
-            Ok(RangeBuffers::new(spans.to_vec(), data))
+            Ok(RangeBuffers::new(spans, data))
         };
-        buffers.push([
-            read("idx", &idx_spans)?,
-            read("seq", &seq_spans)?,
-            read("hdr", &hdr_spans)?,
-        ]);
+        let [idx, seq, hdr] = spans.map(coalesce_spans);
+        buffers.push([read("idx", idx)?, read("seq", seq)?, read("hdr", hdr)?]);
     }
 
     // Materialize this rank's fragments from the buffered spans.
@@ -214,27 +202,31 @@ pub fn read_fragments(
                 .ok_or_else(|| {
                     InputError::Fragment(format!("volume {} not in the alias", a.volume_name))
                 })?;
-            let [idx, seq, hdr] = &buffers[vi];
-            let spec = &a.spec;
-            FragmentData::from_ranges(
-                molecule,
-                spec.base_oid,
-                idx.slice(
-                    spec.idx_seq_range.0,
-                    spec.idx_seq_range.1 - spec.idx_seq_range.0,
-                )?,
-                idx.slice(
-                    spec.idx_hdr_range.0,
-                    spec.idx_hdr_range.1 - spec.idx_hdr_range.0,
-                )?,
-                seq.slice(spec.seq_range.0, spec.seq_range.1 - spec.seq_range.0)?
-                    .to_vec(),
-                hdr.slice(spec.hdr_range.0, spec.hdr_range.1 - spec.hdr_range.0)?
-                    .to_vec(),
-            )
-            .map_err(|e| InputError::Fragment(e.to_string()))
+            materialize(a, &buffers[vi], molecule)
         })
         .collect()
+}
+
+/// Cut one assigned fragment out of its volume's `[idx, seq, hdr]`
+/// buffers.
+fn materialize(
+    assignment: &FragmentAssignment,
+    [idx, seq, hdr]: &[RangeBuffers; 3],
+    molecule: Molecule,
+) -> Result<FragmentData, InputError> {
+    let spec = &assignment.spec;
+    fn slice(buf: &RangeBuffers, (lo, hi): (u64, u64)) -> Result<&[u8], InputError> {
+        buf.slice(lo, hi - lo)
+    }
+    FragmentData::from_ranges(
+        molecule,
+        spec.base_oid,
+        slice(idx, spec.idx_seq_range)?,
+        slice(idx, spec.idx_hdr_range)?,
+        slice(seq, spec.seq_range)?.to_vec(),
+        slice(hdr, spec.hdr_range)?.to_vec(),
+    )
+    .map_err(|e| InputError::Fragment(e.to_string()))
 }
 
 /// One fragment's three file reads, in flight.
@@ -254,21 +246,11 @@ pub struct PendingFragment<'a, 'c> {
 /// `[idx, seq, hdr]` order.
 fn fragment_spans(a: &FragmentAssignment) -> [Vec<(u64, u64)>; 3] {
     let spec = &a.spec;
+    let span = |(lo, hi): (u64, u64)| (lo, hi - lo);
     [
-        coalesce_spans(
-            [spec.idx_seq_range, spec.idx_hdr_range]
-                .into_iter()
-                .map(|(lo, hi)| (lo, hi - lo))
-                .collect(),
-        ),
-        coalesce_spans(vec![(
-            spec.seq_range.0,
-            spec.seq_range.1 - spec.seq_range.0,
-        )]),
-        coalesce_spans(vec![(
-            spec.hdr_range.0,
-            spec.hdr_range.1 - spec.hdr_range.0,
-        )]),
+        coalesce_spans(vec![span(spec.idx_seq_range), span(spec.idx_hdr_range)]),
+        coalesce_spans(vec![span(spec.seq_range)]),
+        coalesce_spans(vec![span(spec.hdr_range)]),
     ]
 }
 
@@ -322,25 +304,8 @@ pub fn read_fragment_end<'a, 'c>(
         };
         buffers.push(RangeBuffers::new(spans, data));
     }
-    let [idx, seq, hdr] = <[RangeBuffers; 3]>::try_from(buffers).expect("three files");
-    let spec = &pend.assignment.spec;
-    FragmentData::from_ranges(
-        molecule,
-        spec.base_oid,
-        idx.slice(
-            spec.idx_seq_range.0,
-            spec.idx_seq_range.1 - spec.idx_seq_range.0,
-        )?,
-        idx.slice(
-            spec.idx_hdr_range.0,
-            spec.idx_hdr_range.1 - spec.idx_hdr_range.0,
-        )?,
-        seq.slice(spec.seq_range.0, spec.seq_range.1 - spec.seq_range.0)?
-            .to_vec(),
-        hdr.slice(spec.hdr_range.0, spec.hdr_range.1 - spec.hdr_range.0)?
-            .to_vec(),
-    )
-    .map_err(|e| InputError::Fragment(e.to_string()))
+    let buffers = <[RangeBuffers; 3]>::try_from(buffers).expect("three files");
+    materialize(&pend.assignment, &buffers, molecule)
 }
 
 #[cfg(test)]

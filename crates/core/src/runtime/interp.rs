@@ -1281,171 +1281,85 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         }
     }
 
-    /// Read the granted fragments through the input plane (one posted
-    /// view set per file, whatever the strategy makes of it), then
-    /// search them if the schedule wants search-on-grant.
+    /// Pop a grant's fragments and bring each one in, in grant order:
+    /// search it when the schedule wants search-on-grant, then hold it
+    /// for later batches (one-shot) or re-admit it to the resident store
+    /// as most-recently-used (service mode).
+    ///
+    /// In service mode a fragment resident in the [`FragmentStore`]
+    /// skips its read entirely — the cross-query cache hit this mode
+    /// exists for. Hits are taken out of the store before any read is
+    /// planned, so no later insert in the same grant can evict one.
+    /// The misses come from one of two read sources: a single posted
+    /// view set for the whole grant (whatever the plane's strategy makes
+    /// of it), or — under `--io-async` on a non-collective plane — a
+    /// one-ahead pipeline, where the next miss's ranged reads go in
+    /// flight before the current fragment is searched, so the exposed
+    /// input time is the first read plus whatever remainder each search
+    /// did not cover.
     fn ingest(&mut self, batch: usize, count: usize, search: bool) -> Result<(), PioError> {
+        let service = self.policy.service;
         let mut granted = Vec::with_capacity(count);
+        let mut misses = Vec::new();
         for _ in 0..count {
-            granted.push(
-                self.pending
-                    .pop_front()
-                    .ok_or_else(|| PioError::Protocol("grant count exceeds stash".into()))?,
-            );
-        }
-        if self.policy.service {
-            return self.ingest_service(batch, granted);
+            let (id, a) = self
+                .pending
+                .pop_front()
+                .ok_or_else(|| PioError::Protocol("grant count exceeds stash".into()))?;
+            // One-shot runs never admit anything, so they never hit.
+            let hit = self.store.take(id as usize);
+            if hit.is_none() {
+                misses.push(a);
+            }
+            granted.push((id, hit));
         }
         let policy = self.policy;
         let plane = input_plane(self.comm, self.cfg, &policy);
-        if self.cfg.io.io_async && !plane.is_collective() {
-            return self.ingest_readahead(batch, granted, search);
+        let pipelined = self.cfg.io.io_async && !plane.is_collective();
+        let mut ahead = misses.iter();
+        let mut begin_next = || {
+            ahead
+                .next()
+                .map(|a| crate::input::read_fragment_begin(&plane, a))
+                .transpose()
+        };
+        let mut pend = if pipelined { begin_next()? } else { None };
+        let mut posted = if pipelined {
+            Vec::new()
+        } else {
+            let t = self.ctx.now();
+            let datas =
+                crate::input::read_fragments(&plane, &self.grant_volumes, &misses, self.molecule)?;
+            self.phase_times.add(phases::INPUT, self.ctx.now() - t);
+            datas
         }
-        let specs: Vec<FragmentAssignment> = granted.iter().map(|(_, a)| a.clone()).collect();
-        let input_start = self.ctx.now();
-        let datas =
-            crate::input::read_fragments(&plane, &self.grant_volumes, &specs, self.molecule)?;
-        self.phase_times
-            .add(phases::INPUT, self.ctx.now() - input_start);
-        for ((id, _), frag) in granted.into_iter().zip(datas) {
+        .into_iter();
+        for (id, hit) in granted {
+            if service {
+                self.trace_residency(hit.is_some(), id, batch);
+            }
+            let frag = match hit {
+                Some(frag) => frag,
+                None if pipelined => {
+                    let p = pend.take().expect("one read in flight per miss");
+                    let t = self.ctx.now();
+                    let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
+                    self.phase_times.add(phases::INPUT, self.ctx.now() - t);
+                    // Read ahead before searching: the next miss's bytes
+                    // move while this one is in the kernel.
+                    pend = begin_next()?;
+                    frag
+                }
+                None => posted.next().expect("one posted read per miss"),
+            };
             if search {
                 self.search_one(batch, id, &frag)?;
             }
-            self.frags.push((id, frag));
-        }
-        Ok(())
-    }
-
-    /// Service-mode ingest: a granted fragment already resident in the
-    /// [`FragmentStore`] skips its read entirely — the cross-query cache
-    /// hit this mode exists for. Misses are read through the input plane
-    /// (one batched posted set, or pipelined ahead of the searches under
-    /// `--io-async`), and every searched fragment is (re)admitted as
-    /// most-recently-used.
-    fn ingest_service(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-    ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
-        // Classify against the store up front so the misses' reads are
-        // planned before any search runs.
-        let miss_ids: Vec<u32> = granted
-            .iter()
-            .filter(|(id, _)| !self.store.contains(*id as usize))
-            .map(|(id, _)| *id)
-            .collect();
-        if self.cfg.io.io_async && !plane.is_collective() {
-            return self.ingest_service_readahead(batch, granted, miss_ids);
-        }
-        let specs: Vec<FragmentAssignment> = granted
-            .iter()
-            .filter(|(id, _)| miss_ids.contains(id))
-            .map(|(_, a)| a.clone())
-            .collect();
-        let input_start = self.ctx.now();
-        let datas = if specs.is_empty() {
-            Vec::new()
-        } else {
-            crate::input::read_fragments(&plane, &self.grant_volumes, &specs, self.molecule)?
-        };
-        self.phase_times
-            .add(phases::INPUT, self.ctx.now() - input_start);
-        let mut reads = datas.into_iter();
-        for (id, a) in granted {
-            let frag = match self.store.take(id as usize) {
-                Some(frag) => {
-                    self.trace_residency(true, id, batch);
-                    frag
-                }
-                None => {
-                    self.trace_residency(false, id, batch);
-                    if miss_ids.contains(&id) {
-                        reads.next().expect("one read per classified miss")
-                    } else {
-                        // Evicted between classification and use (an
-                        // earlier insert in this very batch squeezed it
-                        // out): read it now, alone.
-                        let t = self.ctx.now();
-                        let frag = crate::input::read_fragments(
-                            &plane,
-                            &self.grant_volumes,
-                            std::slice::from_ref(&a),
-                            self.molecule,
-                        )?
-                        .pop()
-                        .expect("one spec, one fragment");
-                        self.phase_times.add(phases::INPUT, self.ctx.now() - t);
-                        frag
-                    }
-                }
-            };
-            self.search_one(batch, id, &frag)?;
-            self.admit_resident(id, frag);
-        }
-        Ok(())
-    }
-
-    /// The service-mode read-ahead pipeline (`--io-async`): the next
-    /// *miss*'s ranged reads go in flight before the current fragment is
-    /// searched; resident hits interleave without touching the plane.
-    fn ingest_service_readahead(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-        miss_ids: Vec<u32>,
-    ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
-        let misses: Vec<usize> = granted
-            .iter()
-            .enumerate()
-            .filter(|(_, (id, _))| miss_ids.contains(id))
-            .map(|(i, _)| i)
-            .collect();
-        let mut next_miss = 0usize;
-        let mut pend = match misses.first() {
-            Some(&p) => {
-                next_miss = 1;
-                Some((p, crate::input::read_fragment_begin(&plane, &granted[p].1)?))
-            }
-            None => None,
-        };
-        for (i, (id, a)) in granted.iter().enumerate() {
-            let id = *id;
-            let frag = if let Some(frag) = self.store.take(id as usize) {
-                self.trace_residency(true, id, batch);
-                frag
+            if service {
+                self.admit_resident(id, frag);
             } else {
-                self.trace_residency(false, id, batch);
-                if pend.as_ref().is_some_and(|(p, _)| *p == i) {
-                    let (_, p) = pend.take().expect("just checked");
-                    let wait_start = self.ctx.now();
-                    let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
-                    self.phase_times
-                        .add(phases::INPUT, self.ctx.now() - wait_start);
-                    if next_miss < misses.len() {
-                        let np = misses[next_miss];
-                        next_miss += 1;
-                        pend = Some((
-                            np,
-                            crate::input::read_fragment_begin(&plane, &granted[np].1)?,
-                        ));
-                    }
-                    frag
-                } else {
-                    // Evicted after classification: synchronous catch-up.
-                    let wait_start = self.ctx.now();
-                    let p = crate::input::read_fragment_begin(&plane, a)?;
-                    let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
-                    self.phase_times
-                        .add(phases::INPUT, self.ctx.now() - wait_start);
-                    frag
-                }
-            };
-            self.search_one(batch, id, &frag)?;
-            self.admit_resident(id, frag);
+                self.frags.push((id, frag));
+            }
         }
         Ok(())
     }
@@ -1469,44 +1383,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 vec![("fragment", (evicted as u64).into())],
             );
         }
-    }
-
-    /// The read-ahead pipeline (`--io-async`, non-collective planes):
-    /// the next granted fragment's ranged reads go in flight *before*
-    /// the search kernel runs on the current one, so the exposed input
-    /// time is the first fragment's read plus whatever remainder each
-    /// search did not cover.
-    fn ingest_readahead(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-        search: bool,
-    ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
-        let mut pend = match granted.first() {
-            Some((_, a)) => Some(crate::input::read_fragment_begin(&plane, a)?),
-            None => None,
-        };
-        let mut next = 0usize;
-        while let Some(p) = pend.take() {
-            let wait_start = self.ctx.now();
-            let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
-            self.phase_times
-                .add(phases::INPUT, self.ctx.now() - wait_start);
-            let id = granted[next].0;
-            next += 1;
-            // Read ahead before searching: the next fragment's bytes
-            // move while this one is in the kernel.
-            if let Some((_, a)) = granted.get(next) {
-                pend = Some(crate::input::read_fragment_begin(&plane, a)?);
-            }
-            if search {
-                self.search_one(batch, id, &frag)?;
-            }
-            self.frags.push((id, frag));
-        }
-        Ok(())
     }
 
     /// Join every in-flight checkpoint write. Failures degrade — the

@@ -319,4 +319,50 @@ mod tests {
             assert!(matches!(decode_grant(garbage), Err(PioError::Protocol(_))));
         }
     }
+
+    #[test]
+    fn grants_with_inverted_ranges_are_protocol_errors() {
+        // A well-framed grant whose fragment range runs backwards would
+        // make every `hi - lo` downstream underflow: it must be refused
+        // at decode.
+        let spec = seqfmt::FragmentSpec {
+            volume: 0,
+            first_seq: 0,
+            last_seq: 2,
+            base_oid: 0,
+            seq_range: (100, 200),
+            hdr_range: (10, 20),
+            idx_seq_range: (0, 24),
+            idx_hdr_range: (40, 64),
+            residues: 100,
+        };
+        let grant = |spec| {
+            let part = PartitionMessage {
+                fragments: vec![crate::proto::FragmentAssignment {
+                    spec,
+                    volume_name: "db".into(),
+                }],
+                volumes: vec!["db".into()],
+            };
+            decode_grant(&encode_grant(0, &[7], &part))
+        };
+        assert!(grant(spec).is_ok());
+        let inverted = [
+            seqfmt::FragmentSpec {
+                seq_range: (200, 100),
+                ..spec
+            },
+            seqfmt::FragmentSpec {
+                last_seq: 0,
+                first_seq: 1,
+                ..spec
+            },
+        ];
+        for bad in inverted {
+            match grant(bad) {
+                Err(PioError::Protocol(msg)) => assert!(msg.contains("invalid value"), "{msg}"),
+                other => panic!("inverted spec decoded: {other:?}"),
+            }
+        }
+    }
 }

@@ -413,10 +413,12 @@ pub fn encode_fragment_spec(s: &FragmentSpec) -> Vec<u8> {
     w.finish()
 }
 
-/// Inverse of [`encode_fragment_spec`].
+/// Inverse of [`encode_fragment_spec`]. A spec whose sequence range or
+/// any byte range runs backwards is rejected: every reader of a spec
+/// takes `hi - lo` as a length.
 pub fn decode_fragment_spec(buf: &[u8]) -> Result<FragmentSpec, CodecError> {
     let mut r = Reader::new(buf);
-    Ok(FragmentSpec {
+    let s = FragmentSpec {
         volume: r.u32("volume")? as usize,
         first_seq: r.u64("first")?,
         last_seq: r.u64("last")?,
@@ -426,7 +428,18 @@ pub fn decode_fragment_spec(buf: &[u8]) -> Result<FragmentSpec, CodecError> {
         idx_seq_range: (r.u64("iseq lo")?, r.u64("iseq hi")?),
         idx_hdr_range: (r.u64("ihdr lo")?, r.u64("ihdr hi")?),
         residues: r.u64("residues")?,
-    })
+    };
+    let ranges = [
+        ("last", (s.first_seq, s.last_seq)),
+        ("seq hi", s.seq_range),
+        ("hdr hi", s.hdr_range),
+        ("iseq hi", s.idx_seq_range),
+        ("ihdr hi", s.idx_hdr_range),
+    ];
+    match ranges.into_iter().find(|(_, (lo, hi))| hi < lo) {
+        Some((what, _)) => Err(CodecError::BadValue { what }),
+        None => Ok(s),
+    }
 }
 
 #[cfg(test)]
@@ -534,6 +547,69 @@ mod tests {
             residues: 1000,
         };
         assert_eq!(decode_fragment_spec(&encode_fragment_spec(&s)).unwrap(), s);
+    }
+
+    #[test]
+    fn fragment_spec_rejects_inverted_ranges() {
+        let good = FragmentSpec {
+            volume: 0,
+            first_seq: 4,
+            last_seq: 4,
+            base_oid: 4,
+            seq_range: (50, 50),
+            hdr_range: (7, 7),
+            idx_seq_range: (40, 48),
+            idx_hdr_range: (60, 68),
+            residues: 0,
+        };
+        // Empty ranges are fine; only backwards ones are garbage.
+        assert_eq!(
+            decode_fragment_spec(&encode_fragment_spec(&good)).unwrap(),
+            good
+        );
+        let cases = [
+            (
+                "last",
+                FragmentSpec {
+                    last_seq: 3,
+                    ..good
+                },
+            ),
+            (
+                "seq hi",
+                FragmentSpec {
+                    seq_range: (51, 50),
+                    ..good
+                },
+            ),
+            (
+                "hdr hi",
+                FragmentSpec {
+                    hdr_range: (u64::MAX, 0),
+                    ..good
+                },
+            ),
+            (
+                "iseq hi",
+                FragmentSpec {
+                    idx_seq_range: (48, 40),
+                    ..good
+                },
+            ),
+            (
+                "ihdr hi",
+                FragmentSpec {
+                    idx_hdr_range: (69, 68),
+                    ..good
+                },
+            ),
+        ];
+        for (what, bad) in cases {
+            assert_eq!(
+                decode_fragment_spec(&encode_fragment_spec(&bad)),
+                Err(CodecError::BadValue { what })
+            );
+        }
     }
 
     #[test]

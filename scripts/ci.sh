@@ -88,6 +88,17 @@ for b in $(seq 0 $((nq - 1))); do
     --out "$tracetmp/ref$b.txt"
   cmp "$tracetmp/svc.txt.q$b" "$tracetmp/ref$b.txt"
 done
+# The same serve on the nonblocking plane: the worker's pipelined
+# ingest (one-ahead begin/end reads, no posted batch) must export a
+# well-formed trace and leave every per-batch report unchanged.
+"$cli" serve --procs 16 --affinity --resident-mb 64 --io-async \
+  --users 2 --stream-batches "$nq" --seed 9 \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/svc-async.txt" --trace "$tracetmp/trace-serve-async.json"
+"$cli" trace-check --in "$tracetmp/trace-serve-async.json"
+for b in $(seq 0 $((nq - 1))); do
+  cmp "$tracetmp/svc.txt.q$b" "$tracetmp/svc-async.txt.q$b"
+done
 # Pooled-engine smoke at scale: 128 ranks run as fibers on the default
 # worker pool. The trace must validate, and the report must be
 # byte-identical to a 16-rank run over the same 15 fragments — rank
@@ -129,13 +140,16 @@ cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
 grep -q "traces are equivalent" "$tracetmp/diff-self.txt"
 # Perf-regression gate: every traced run above is diffed against the
 # committed per-(lane,phase) busy-ns baselines. The DES is
-# deterministic, so any growth past --max-growth-pct on a lane/phase
-# is a real change in simulated work, not noise; shrinkage passes.
+# deterministic, so the profiles must match exactly: the growth check
+# runs first for its per-lane diagnostics, then the regenerated profile
+# is compared byte-for-byte, so shrinkage fails too.
 # When a change legitimately moves a profile, regenerate it with
 #   target/release/pioblast-sim trace-diff --in <trace.json> \
 #     --write-baseline scripts/trace-baselines/<name>.tsv
 # and commit the result.
-for t in trace trace-async trace-hybrid trace-serve trace-128 trace-burst; do
+for t in trace trace-async trace-hybrid trace-serve trace-serve-async trace-128 trace-burst; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
+  "$cli" trace-diff --in "$tracetmp/$t.json" --write-baseline "$tracetmp/$t.tsv"
+  cmp "$tracetmp/$t.tsv" "scripts/trace-baselines/$t.tsv"
 done

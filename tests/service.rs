@@ -191,17 +191,23 @@ fn fixed_references() -> &'static Vec<Vec<u8>> {
     REFS.get_or_init(|| references(4, 9, &fixed_plan()))
 }
 
+/// A resident cap that holds some but not all of a worker's fragments
+/// in the fixed 4-rank, 9-fragment shape: re-grants partly hit, and the
+/// LRU evicts mid-stream.
+const PARTIAL_RESIDENT: u64 = 16 << 10;
+
 /// Cheap deterministic guard independent of the proptest machinery: a
-/// fault-free sweep over affinity x residency x the async I/O plane x
-/// slot counts must reproduce every batch's one-shot bytes.
+/// fault-free sweep over affinity x residency (none, partial, all) x the
+/// async I/O plane x slot counts must reproduce every batch's one-shot
+/// bytes.
 #[test]
 fn service_reports_match_one_shot_runs_without_faults() {
     let plan = fixed_plan();
     let refs = fixed_references();
-    for affinity in [false, true] {
+    let grants = (9 * plan.batches.len()) as u64;
+    for (affinity, resident) in [(false, 0), (true, PARTIAL_RESIDENT), (true, 64 << 20)] {
         for io_async in [false, true] {
             for threads in [1, 4] {
-                let resident = if affinity { 64 << 20 } else { 0 };
                 let run = run_service(
                     4,
                     9,
@@ -214,12 +220,20 @@ fn service_reports_match_one_shot_runs_without_faults() {
                     FaultPlan::none(),
                 );
                 assert!(run.killed.is_empty());
+                if resident == PARTIAL_RESIDENT {
+                    let hits = run.metrics.cache_hits;
+                    assert!(
+                        0 < hits && hits < grants,
+                        "partial residency hit {hits} of {grants} grants \
+                         (io_async={io_async} threads={threads})"
+                    );
+                }
                 assert_eq!(run.batches.len(), refs.len());
                 for (b, (got, want)) in run.batches.iter().zip(refs.iter()).enumerate() {
                     assert_eq!(
                         got, want,
                         "batch {b} diverged: affinity={affinity} \
-                         io_async={io_async} threads={threads}"
+                         resident={resident} io_async={io_async} threads={threads}"
                     );
                 }
             }
@@ -259,9 +273,17 @@ fn prepare_memo_prepares_each_stream_batch_once() {
 /// and a capacious store, every batch after the first hits (> 50% of
 /// all grants once the stream revisits each fragment), while the
 /// zero-capacity affinity-off baseline never hits and re-reads
-/// everything. Residency must not slow the virtual clock down.
+/// everything. Residency must not slow the virtual clock down. Both
+/// read sources count hits the same way: the posted batch and the
+/// pipelined `--io-async` reads.
 #[test]
 fn affinity_reuses_resident_fragments_across_the_stream() {
+    for io_async in [false, true] {
+        affinity_reuses_resident_fragments(io_async);
+    }
+}
+
+fn affinity_reuses_resident_fragments(io_async: bool) {
     let plan = fixed_plan();
     let nbatches = plan.batches.len();
     let on = run_service(
@@ -270,7 +292,7 @@ fn affinity_reuses_resident_fragments_across_the_stream() {
         &plan,
         64 << 20,
         true,
-        false,
+        io_async,
         1,
         FaultMode::Off,
         FaultPlan::none(),
@@ -281,7 +303,7 @@ fn affinity_reuses_resident_fragments_across_the_stream() {
         &plan,
         0,
         false,
-        false,
+        io_async,
         1,
         FaultMode::Off,
         FaultPlan::none(),
@@ -297,10 +319,13 @@ fn affinity_reuses_resident_fragments_across_the_stream() {
     assert_eq!(off.metrics.cache_misses, grants);
 
     // With stable affinity placement, only batch 0 misses.
-    assert_eq!(on.metrics.cache_misses, 9, "only the cold batch reads");
+    assert_eq!(
+        on.metrics.cache_misses, 9,
+        "only the cold batch reads (io_async={io_async})"
+    );
     assert!(
         on.metrics.hit_rate() > 0.5,
-        "hit rate {:.2} not > 0.5",
+        "hit rate {:.2} not > 0.5 (io_async={io_async})",
         on.metrics.hit_rate()
     );
 
