@@ -1,9 +1,8 @@
 //! Ablation: what does the burst-buffer staging tier buy?
 //!
 //! With `--burst-buffer` on, aggregator output and checkpoint writes
-//! are absorbed into the node's fast staging volume (striped across
-//! `--stripe-files` backing files) and drained to the shared file
-//! system asynchronously, fenced only at epoch boundaries. On a
+//! are absorbed into the node's fast staging volume and drained to the
+//! shared file system asynchronously, fenced only at epoch boundaries. On a
 //! platform whose shared file system is slow relative to its staging
 //! devices — the blade cluster's NFS is the paper's motivating case —
 //! that converts the output phase's synchronous shared-FS writes into
@@ -15,16 +14,13 @@
 //! with staging off and on, on both the blade cluster and the
 //! multisite profile. Three contracts are asserted, not just reported:
 //!
-//! * **the headline**: on blade/NFS at 16 ranks, staging with 4-way
-//!   striping shrinks output-phase critical-path time by ≥ 1.5x;
+//! * **the headline**: on blade/NFS at 16 ranks, staging shrinks
+//!   output-phase critical-path time by ≥ 1.5x;
 //! * **byte identity**: every staged run's merged report matches the
-//!   unstaged run's, on every platform and at every stripe count;
+//!   unstaged run's, on every platform;
 //! * **fault composition**: a single-worker `FaultMode::Recover` kill
 //!   with checkpointing and staging on still reproduces the unstaged
 //!   fault-free bytes (the fence-before-ack drain contract).
-//!
-//! A stripe-count sweep (1/2/4/8) on blade isolates how much of the
-//! win is striping versus staging itself.
 //!
 //! Results land in `BENCH_burst.json` at the workspace root.
 
@@ -143,13 +139,14 @@ fn main() {
     json.push_str("  \"platforms\": [\n");
 
     let mut blade_speedup = 0.0f64;
+    let mut blade_report = Vec::new();
     for (pi, platform) in [Platform::blade_cluster(), Platform::multisite()]
         .into_iter()
         .enumerate()
     {
         let off = run_one(&platform, None, None);
         let on = run_one(&platform, Some(BurstOptions::default()), None);
-        for (label, r) in [("off", &off), ("stripe 4", &on)] {
+        for (label, r) in [("off", &off), ("on", &on)] {
             println!(
                 "{:<35} {:>10} {:>11.3} {:>12.4} {:>7.1}% {:>7} {:>7}",
                 platform.name,
@@ -179,6 +176,7 @@ fn main() {
         );
         if pi == 0 {
             blade_speedup = speedup;
+            blade_report = off.report;
         }
         if pi > 0 {
             json.push_str(",\n");
@@ -213,60 +211,19 @@ fn main() {
         "  \"blade_output_path_speedup\": {blade_speedup:.4},\n  \"speedup_floor\": 1.5,"
     );
 
-    // ---- stripe-count sweep: how much is striping vs staging? ----
-    println!("\n== Stripe-count sweep, blade/NFS ==");
-    let blade = Platform::blade_cluster();
-    let baseline = run_one(&blade, None, None);
-    json.push_str("  \"stripe_sweep\": [");
-    let mut by_stripe: Vec<(usize, f64)> = Vec::new();
-    for (i, stripes) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let r = run_one(
-            &blade,
-            Some(BurstOptions {
-                stripe_files: stripes,
-                ..Default::default()
-            }),
-            None,
-        );
-        println!(
-            "stripe_files {stripes}: elapsed {:.3}s, output path {:.4}s ({:.2}x vs unstaged)",
-            r.elapsed_s,
-            r.output_path_s,
-            baseline.output_path_s / r.output_path_s.max(1e-12)
-        );
-        assert_eq!(
-            r.report, baseline.report,
-            "stripe_files {stripes}: report must stay byte-identical"
-        );
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"stripe_files\": {stripes}, \"elapsed_s\": {:.6}, \
-             \"output_path_s\": {:.6}}}",
-            r.elapsed_s, r.output_path_s
-        );
-        by_stripe.push((stripes, r.output_path_s));
-    }
-    json.push_str("\n  ],\n");
-    assert!(
-        by_stripe[2].1 <= by_stripe[0].1,
-        "4-way striping must not lose to a single backing file \
-         (stripe 4 {:.4}s vs stripe 1 {:.4}s)",
-        by_stripe[2].1,
-        by_stripe[0].1
-    );
-
     // ---- recovery composition: kill one worker mid-distribution ----
     println!("\n== Recover kill with staging + checkpointing, blade/NFS ==");
-    let faulty = run_one(&blade, Some(BurstOptions::default()), Some((5, 3)));
+    let faulty = run_one(
+        &Platform::blade_cluster(),
+        Some(BurstOptions::default()),
+        Some((5, 3)),
+    );
     println!(
         "killed rank 5: elapsed {:.3}s, output path {:.4}s, puts {} drains {}",
         faulty.elapsed_s, faulty.output_path_s, faulty.stage_puts, faulty.stage_drains
     );
     assert_eq!(
-        faulty.report, baseline.report,
+        faulty.report, blade_report,
         "staged Recover run must reproduce the unstaged fault-free bytes"
     );
     let _ = writeln!(

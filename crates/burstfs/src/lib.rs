@@ -5,14 +5,12 @@
 //!
 //! Output and checkpoint writes are *absorbed* into a per-node staging
 //! volume — a fast, low-latency `parafs::SimFs` with the
-//! [`parafs::FsProfile::burst_buffer`] profile — striped round-robin
-//! across several backing files ([`parafs::StripeMap`]) so the absorb
-//! runs at the device's aggregate bandwidth rather than one stream's.
-//! Each absorbed run immediately begins its *drain*: the staged bytes
-//! are read back through the device's FIFO read port
-//! ([`simcluster::DeviceTimeline`]), reassembled in stripe-map order,
-//! and issued as one nonblocking write to the destination. Pending
-//! drains complete in the background of whatever the rank does next;
+//! [`parafs::FsProfile::burst_buffer`] profile — as one write per put,
+//! at the destination path and offset. Each absorbed run immediately
+//! begins its *drain*: the staged bytes are read back through the
+//! device's FIFO read port ([`simcluster::DeviceTimeline`]) and issued
+//! as one nonblocking write to the destination. Pending drains complete
+//! in the background of whatever the rank does next;
 //! [`StagingStore::fence`] joins them all.
 //!
 //! Capacity is bounded: a put that would exceed the configured staging
@@ -39,21 +37,16 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use parafs::stripe::{read_striped, write_striped_begin};
-use parafs::{AsyncIo, SimFs, StoreError, StripeMap};
+use parafs::{AsyncIo, SimFs, StoreError};
 use simcluster::{DeviceTimeline, RankCtx};
 use tracelog::{ArgVal, Lane};
 
 pub use simcluster::DeviceModel;
 
 /// User-facing staging-tier knobs (the `--burst-buffer` /
-/// `--stripe-files` surface).
+/// `--burst-capacity` surface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstOptions {
-    /// Backing files each staged run stripes across (≥ 1).
-    pub stripe_files: usize,
-    /// Stripe unit in bytes (≥ 1).
-    pub stripe_unit: u64,
     /// Staged-but-undrained bytes allowed before puts see typed
     /// backpressure.
     pub capacity: u64,
@@ -62,8 +55,6 @@ pub struct BurstOptions {
 impl Default for BurstOptions {
     fn default() -> BurstOptions {
         BurstOptions {
-            stripe_files: 4,
-            stripe_unit: 64 * 1024,
             capacity: 256 * 1024 * 1024,
         }
     }
@@ -121,8 +112,8 @@ pub struct BurstStats {
     pub peak_staged: u64,
 }
 
-/// One in-flight drain: a nonblocking destination write of a
-/// reassembled staged run.
+/// One in-flight drain: a nonblocking destination write of a staged
+/// run.
 struct Drain {
     op: AsyncIo,
     bytes: u64,
@@ -135,7 +126,6 @@ struct Drain {
 pub struct StagingStore {
     staging: SimFs,
     dest: SimFs,
-    map: StripeMap,
     capacity: u64,
     port: DeviceTimeline,
     staged: u64,
@@ -152,18 +142,12 @@ impl StagingStore {
         StagingStore {
             staging,
             dest,
-            map: StripeMap::new(opts.stripe_files, opts.stripe_unit),
             capacity: opts.capacity,
             port: DeviceTimeline::new(port),
             staged: 0,
             pending: Vec::new(),
             stats: BurstStats::default(),
         }
-    }
-
-    /// The stripe layout staged runs use.
-    pub fn stripe_map(&self) -> StripeMap {
-        self.map
     }
 
     /// Staged-but-undrained bytes.
@@ -181,9 +165,9 @@ impl StagingStore {
         self.stats
     }
 
-    /// Absorb `data` destined for `path` at `offset`: stripe it across
-    /// the staging volume, then begin its background drain to the
-    /// destination. Returns [`BurstError::StagingFull`] — absorbing
+    /// Absorb `data` destined for `path` at `offset`: write it to the
+    /// same path and offset on the staging volume, then begin its
+    /// background drain to the destination. Returns [`BurstError::StagingFull`] — absorbing
     /// nothing — when the run does not fit the remaining capacity.
     pub fn put(
         &mut self,
@@ -206,21 +190,21 @@ impl StagingStore {
             return Err(BurstError::StagingFull { needed, free });
         }
 
-        // Absorb: one concurrent nonblocking write per stripe chunk, so
-        // the chunks share the staging device's aggregate bandwidth.
         let span = tracelog::span_args(
             Lane::Io,
             "stage.put",
             vec![
                 ("bytes", ArgVal::U64(needed)),
-                ("stripes", ArgVal::U64(self.map.files() as u64)),
                 ("path", ArgVal::Str(Cow::Owned(path.to_string()))),
             ],
         );
-        let ops = write_striped_begin(&self.staging, ctx, path, &self.map, offset, data);
-        for op in ops {
-            self.staging.io_wait(ctx, op)?;
-        }
+        // Begin plus wait rather than a blocking `write_at`: the absorb
+        // is traced and timed as a nonblocking transfer, which is what
+        // the committed burst trace baselines record.
+        let op = self
+            .staging
+            .write_at_begin(ctx, path, offset, data.to_vec());
+        self.staging.io_wait(ctx, op)?;
         drop(span);
         self.staged += needed;
         self.stats.puts += 1;
@@ -228,21 +212,15 @@ impl StagingStore {
         self.stats.peak_staged = self.stats.peak_staged.max(self.staged);
         tracelog::counter("stage.staged_bytes", self.staged);
 
-        // Drain: the device's FIFO read port pages the staged stripes
-        // back in (bursty puts queue behind each other here), then one
-        // nonblocking destination write carries the reassembled run.
-        // The byte path really goes through the staging files — the
-        // reassembly below reads what the absorb just wrote.
+        // Drain: the device's FIFO read port pages the staged run back
+        // in (bursty puts queue behind each other here), then one
+        // nonblocking destination write carries it. The byte path really
+        // goes through the staging volume — the run below is read from
+        // what the absorb just wrote.
         let done = self.port.issue(ctx.now(), needed);
         ctx.charge(done.since(ctx.now()));
-        let mut run = vec![0u8; needed as usize];
-        for c in self.map.chunks(offset, needed) {
-            let file = self.staging.peek(&StripeMap::stripe_path(path, c.file))?;
-            let (fo, len) = (c.file_offset as usize, c.len as usize);
-            run[c.src_offset as usize..c.src_offset as usize + len]
-                .copy_from_slice(&file[fo..fo + len]);
-        }
-        debug_assert_eq!(run, data, "stripe reassembly must reproduce the staged run");
+        let run = self.staging.peek(path)?[offset as usize..][..data.len()].to_vec();
+        debug_assert_eq!(run, data, "the staging volume must hold the staged run");
         tracelog::instant(
             Lane::Io,
             "stage.drain",
@@ -254,19 +232,6 @@ impl StagingStore {
         let op = self.dest.write_at_begin(ctx, path, offset, run);
         self.pending.push(Drain { op, bytes: needed });
         Ok(())
-    }
-
-    /// Read a previously staged range back from the staging volume,
-    /// reassembled in stripe-map order. This is a client read (fluid
-    /// contention model), not the drain port.
-    pub fn read_back(
-        &self,
-        ctx: &RankCtx,
-        path: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
-        read_striped(&self.staging, ctx, path, &self.map, offset, len)
     }
 
     /// Collect drains that have already completed, freeing their
@@ -353,19 +318,14 @@ mod tests {
             let mut store = StagingStore::new(
                 staging.clone(),
                 dest.clone(),
-                BurstOptions {
-                    stripe_files: 3,
-                    stripe_unit: 16,
-                    capacity: 1 << 20,
-                },
+                BurstOptions { capacity: 1 << 20 },
                 port(),
             );
             let data: Vec<u8> = (0..200u8).collect();
             store.put(ctx, "out.txt", 40, &data).unwrap();
-            // Read-back reassembles from the stripes before any drain
+            // The run sits on the staging volume before any drain
             // completes.
-            let back = store.read_back(ctx, "out.txt", 40, 200).unwrap();
-            assert_eq!(back, data);
+            assert_eq!(&staging.peek("out.txt").unwrap()[40..240], &data[..]);
             assert_eq!(store.pending_drains(), 1);
             store.fence(ctx).unwrap();
             assert_eq!(store.staged_bytes(), 0);
@@ -380,11 +340,7 @@ mod tests {
             let mut store = StagingStore::new(
                 staging.clone(),
                 dest.clone(),
-                BurstOptions {
-                    stripe_files: 2,
-                    stripe_unit: 8,
-                    capacity: 100,
-                },
+                BurstOptions { capacity: 100 },
                 port(),
             );
             store.put(ctx, "a", 0, &[7u8; 80]).unwrap();
@@ -404,35 +360,6 @@ mod tests {
             assert_eq!(dest.peek("a").unwrap(), vec![7u8; 80]);
             assert_eq!(dest.peek("b").unwrap(), vec![9u8; 40]);
         });
-    }
-
-    #[test]
-    fn striped_absorb_beats_single_file() {
-        // Same 8 MiB run, 1 vs 4 stripe files: four concurrent streams
-        // on the burst device absorb measurably faster.
-        let elapsed = |files: usize| {
-            run_one(move |ctx, staging, dest| {
-                let t0 = ctx.now();
-                let mut store = StagingStore::new(
-                    staging.clone(),
-                    dest.clone(),
-                    BurstOptions {
-                        stripe_files: files,
-                        stripe_unit: 64 * 1024,
-                        capacity: 64 << 20,
-                    },
-                    port(),
-                );
-                store.put(ctx, "big", 0, &vec![3u8; 8 << 20]).unwrap();
-                ctx.now().since(t0).0
-            })
-        };
-        let solo = elapsed(1);
-        let striped = elapsed(4);
-        assert!(
-            (striped as f64) < (solo as f64) * 0.5,
-            "striping 4-wide should at least halve the absorb: {striped} vs {solo}"
-        );
     }
 
     #[test]

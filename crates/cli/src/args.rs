@@ -29,6 +29,39 @@ pub enum ArgError {
     },
     /// A positional argument appeared after the subcommand.
     UnexpectedPositional(String),
+    /// An option the subcommand does not declare.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// Option name.
+        option: String,
+    },
+    /// A boolean flag was given a value (`--measured 1`).
+    FlagWithValue {
+        /// The subcommand.
+        command: String,
+        /// Option name.
+        option: String,
+        /// The value that followed it.
+        value: String,
+    },
+    /// A value option was given none (`--trace` at the end).
+    MissingValue {
+        /// The subcommand.
+        command: String,
+        /// Option name.
+        option: String,
+    },
+}
+
+/// Whether an option stands alone (`--dna`) or takes a value
+/// (`--procs 4`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptKind {
+    /// A boolean flag.
+    Flag,
+    /// An option followed by its value.
+    Value,
 }
 
 impl std::fmt::Display for ArgError {
@@ -42,6 +75,20 @@ impl std::fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{option} {value:?}: expected {expected}"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument {p:?}"),
+            ArgError::UnknownOption { command, option } => {
+                write!(f, "unknown option --{option} for {command}")
+            }
+            ArgError::FlagWithValue {
+                command,
+                option,
+                value,
+            } => write!(
+                f,
+                "--{option} is a flag for {command} and takes no value (got {value:?})"
+            ),
+            ArgError::MissingValue { command, option } => {
+                write!(f, "--{option} needs a value for {command}")
+            }
         }
     }
 }
@@ -56,10 +103,12 @@ impl ParsedArgs {
         let Some(command) = iter.next() else {
             return Err(ArgError::MissingCommand);
         };
-        if command.starts_with("--") {
-            return Err(ArgError::MissingCommand);
-        }
-        out.command = command;
+        // `--help` is the one option that may stand in for a subcommand.
+        out.command = match command.as_str() {
+            "--help" => "help".to_string(),
+            c if c.starts_with("--") => return Err(ArgError::MissingCommand),
+            _ => command,
+        };
         while let Some(tok) = iter.next() {
             if let Some(key) = tok.strip_prefix("--") {
                 // A value follows unless the next token is another option
@@ -76,6 +125,40 @@ impl ParsedArgs {
             }
         }
         Ok(out)
+    }
+
+    /// Check every parsed option against the subcommand's declared
+    /// `known` options: each must be declared, flags must stand alone
+    /// and value options must carry a value.
+    pub fn check(&self, known: &[(&str, OptKind)]) -> Result<(), ArgError> {
+        let kind_of = |option: &str| {
+            known
+                .iter()
+                .find(|(name, _)| *name == option)
+                .map(|&(_, kind)| kind)
+                .ok_or_else(|| ArgError::UnknownOption {
+                    command: self.command.clone(),
+                    option: option.to_string(),
+                })
+        };
+        for (option, value) in &self.options {
+            if kind_of(option)? == OptKind::Flag {
+                return Err(ArgError::FlagWithValue {
+                    command: self.command.clone(),
+                    option: option.clone(),
+                    value: value.clone(),
+                });
+            }
+        }
+        for option in &self.flags {
+            if kind_of(option)? == OptKind::Value {
+                return Err(ArgError::MissingValue {
+                    command: self.command.clone(),
+                    option: option.clone(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// A required string option.
@@ -193,6 +276,7 @@ mod tests {
             parse(&["--procs", "3"]).unwrap_err(),
             ArgError::MissingCommand
         );
+        assert_eq!(parse(&["--help"]).unwrap().command, "help");
         let a = parse(&["run"]).unwrap();
         assert_eq!(
             a.require("db").unwrap_err(),
@@ -207,6 +291,38 @@ mod tests {
             parse(&["run", "stray"]).unwrap_err(),
             ArgError::UnexpectedPositional(_)
         ));
+    }
+
+    #[test]
+    fn check_rejects_undeclared_and_misused_options() {
+        let known = [("procs", OptKind::Value), ("measured", OptKind::Flag)];
+        parse(&["run", "--procs", "4", "--measured"])
+            .unwrap()
+            .check(&known)
+            .unwrap();
+        let err = |tokens: &[&str]| parse(tokens).unwrap().check(&known).unwrap_err();
+        assert_eq!(
+            err(&["run", "--recovr"]),
+            ArgError::UnknownOption {
+                command: "run".into(),
+                option: "recovr".into()
+            }
+        );
+        assert_eq!(
+            err(&["run", "--measured", "1"]),
+            ArgError::FlagWithValue {
+                command: "run".into(),
+                option: "measured".into(),
+                value: "1".into()
+            }
+        );
+        assert_eq!(
+            err(&["run", "--procs"]),
+            ArgError::MissingValue {
+                command: "run".into(),
+                option: "procs".into()
+            }
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use seqfmt::synth::{generate, generate_dna, SynthConfig};
 use seqfmt::{AliasFile, FormattedDb};
 use simcluster::Sim;
 
+use crate::args::OptKind::{self, Flag, Value};
 use crate::args::{ArgError, ParsedArgs};
 
 /// A CLI-level error with a user-facing message.
@@ -53,16 +54,19 @@ USAGE:
   pioblast-sim run      --program pio|mpi --procs N --db-dir DIR --queries q.fa
                         --out report.txt [--platform PLATFORM] [--frags N]
                         [--threads N] [--pool-threads N] [--batch N] [--measured] [--dna]
-                        [--no-collective] [--dynamic] [--fault-detect] [--recover]
-                        [--checkpoint] [--io-strategy independent|sieve|two-phase]
+                        [--no-collective] [--collective-input] [--prune] [--dynamic]
+                        [--fault-detect] [--recover] [--checkpoint]
+                        [--io-strategy independent|sieve|two-phase]
                         [--sieve-threshold N] [--io-async] [--burst-buffer]
-                        [--stripe-files N] [--burst-capacity BYTES]
+                        [--burst-capacity BYTES]
                         [--trace out.json] [--trace-filter LANE[,LANE...]]
   pioblast-sim serve    --procs N --db-dir DIR --queries q.fa --out report.txt
                         [--platform PLATFORM] [--users N] [--stream-batches N]
                         [--mean-gap-ms N] [--resident-mb N] [--affinity] [--frags N]
-                        [--threads N] [--pool-threads N] [--io-async] [--recover]
-                        [--checkpoint] [--burst-buffer] [--stripe-files N]
+                        [--threads N] [--pool-threads N] [--recover] [--checkpoint]
+                        [--io-strategy independent|sieve|two-phase]
+                        [--sieve-threshold N] [--io-async] [--burst-buffer]
+                        [--burst-capacity BYTES]
                         [--seed S] [--measured] [--dna] [--trace out.json]
                         [--trace-filter LANE[,...]]
   pioblast-sim trace-check --in trace.json
@@ -71,7 +75,9 @@ USAGE:
   pioblast-sim trace-diff  --in trace.json --baseline profile.tsv
                            [--max-growth-pct N] [--min-delta-ns N]
 
-Integer options accept k/M/G suffixes (e.g. --residues 12M).
+Integer options accept k/M/G suffixes (e.g. --residues 12M). An option
+a subcommand does not list above is an error. pioblast-sim --help (or
+help) prints this text.
 
 PLATFORM is one of altix (SGI Altix: NUMAlink + striped XFS), blade
 (IBM blades: gigabit + NFS + local disks), manycore (64-core nodes),
@@ -91,6 +97,11 @@ against a long-lived cluster. Each stream batch's report is written to
 --resident-mb caps each worker's resident fragment store (0 keeps
 nothing); --affinity re-grants fragments to the workers that already
 hold them, so resident re-grants skip their reads entirely.
+
+--collective-input and --prune apply to pio only. --collective-input
+reads the shared database with aggregated reads instead of independent
+ranged ones; --prune has workers trim their hit lists to the report
+limits before submitting. Neither changes output bytes.
 
 --threads N (pio only) shards each granted fragment's subjects across N
 intra-rank compute slots with a deterministic merge — output bytes never
@@ -113,27 +124,147 @@ exits nonzero when any lane/phase (or the wall clock) grew more than
 (default 50k) — the CI perf-regression gate.
 
 --burst-buffer stages output and checkpoint writes in a per-node burst
-buffer (the platform's staging profile) striped across --stripe-files
-backing files (default 4), draining to the shared file system in the
-background; drains are fenced at epoch boundaries under --recover and
-always before the run ends, so reports stay byte-identical.
+buffer (the platform's staging profile), one write per put, draining to
+the shared file system in the background; drains are fenced at epoch
+boundaries under --recover and always before the run ends, so reports
+stay byte-identical.
 --burst-capacity bounds staged-but-undrained bytes (default 256M);
 a full buffer degrades that write to a direct one (typed backpressure).
 ";
 
-/// Dispatch a parsed command line.
+type Handler = fn(&ParsedArgs) -> Result<String, CliError>;
+
+/// Every subcommand with its handler and the options it accepts.
+/// `dispatch` rejects anything else before the handler runs, and a
+/// test holds each table equal to the subcommand's USAGE synopsis.
+const SUBCOMMANDS: &[(&str, Handler, &[(&str, OptKind)])] = &[
+    (
+        "gen",
+        cmd_gen,
+        &[
+            ("residues", Value),
+            ("out", Value),
+            ("seed", Value),
+            ("dna", Flag),
+        ],
+    ),
+    (
+        "formatdb",
+        cmd_formatdb,
+        &[
+            ("in", Value),
+            ("title", Value),
+            ("out-dir", Value),
+            ("volume-cap", Value),
+            ("dna", Flag),
+        ],
+    ),
+    (
+        "sample",
+        cmd_sample,
+        &[
+            ("in", Value),
+            ("bytes", Value),
+            ("out", Value),
+            ("seed", Value),
+            ("dna", Flag),
+        ],
+    ),
+    (
+        "run",
+        cmd_run,
+        &[
+            ("program", Value),
+            ("procs", Value),
+            ("db-dir", Value),
+            ("queries", Value),
+            ("out", Value),
+            ("platform", Value),
+            ("frags", Value),
+            ("threads", Value),
+            ("pool-threads", Value),
+            ("batch", Value),
+            ("measured", Flag),
+            ("dna", Flag),
+            ("no-collective", Flag),
+            ("collective-input", Flag),
+            ("prune", Flag),
+            ("dynamic", Flag),
+            ("fault-detect", Flag),
+            ("recover", Flag),
+            ("checkpoint", Flag),
+            ("io-strategy", Value),
+            ("sieve-threshold", Value),
+            ("io-async", Flag),
+            ("burst-buffer", Flag),
+            ("burst-capacity", Value),
+            ("trace", Value),
+            ("trace-filter", Value),
+        ],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            ("procs", Value),
+            ("db-dir", Value),
+            ("queries", Value),
+            ("out", Value),
+            ("platform", Value),
+            ("users", Value),
+            ("stream-batches", Value),
+            ("mean-gap-ms", Value),
+            ("resident-mb", Value),
+            ("affinity", Flag),
+            ("frags", Value),
+            ("threads", Value),
+            ("pool-threads", Value),
+            ("recover", Flag),
+            ("checkpoint", Flag),
+            ("io-strategy", Value),
+            ("sieve-threshold", Value),
+            ("io-async", Flag),
+            ("burst-buffer", Flag),
+            ("burst-capacity", Value),
+            ("seed", Value),
+            ("measured", Flag),
+            ("dna", Flag),
+            ("trace", Value),
+            ("trace-filter", Value),
+        ],
+    ),
+    ("trace-check", cmd_trace_check, &[("in", Value)]),
+    (
+        "trace-diff",
+        cmd_trace_diff,
+        &[
+            ("a", Value),
+            ("b", Value),
+            ("top", Value),
+            ("in", Value),
+            ("write-baseline", Value),
+            ("baseline", Value),
+            ("max-growth-pct", Value),
+            ("min-delta-ns", Value),
+        ],
+    ),
+    ("help", |_| Ok(USAGE.to_string()), &[]),
+];
+
+/// Dispatch a parsed command line, rejecting any option the subcommand
+/// does not declare before running it.
 pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "gen" => cmd_gen(args),
-        "formatdb" => cmd_formatdb(args),
-        "sample" => cmd_sample(args),
-        "run" => cmd_run(args),
-        "serve" => cmd_serve(args),
-        "trace-check" => cmd_trace_check(args),
-        "trace-diff" => cmd_trace_diff(args),
-        "help" | "--help" => Ok(USAGE.to_string()),
-        other => Err(CliError(format!("unknown subcommand {other:?}\n\n{USAGE}"))),
-    }
+    let Some((_, handler, known)) = SUBCOMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == args.command)
+    else {
+        return Err(CliError(format!(
+            "unknown subcommand {:?}\n\n{USAGE}",
+            args.command
+        )));
+    };
+    args.check(known)?;
+    handler(args)
 }
 
 fn molecule_of(args: &ParsedArgs) -> Molecule {
@@ -272,7 +403,7 @@ fn make_sim(args: &ParsedArgs, nprocs: usize) -> Result<Sim, CliError> {
 }
 
 /// Parse `--io-strategy` / `--sieve-threshold` / `--burst-buffer` /
-/// `--stripe-files` / `--burst-capacity` into plane options.
+/// `--burst-capacity` into plane options.
 fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
     let defaults = pioblast::IoOptions::default();
     let strategy = match args.get("io-strategy") {
@@ -282,28 +413,17 @@ fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
             .map_err(|e| CliError(e.to_string()))?,
     };
     let burst = if args.flag("burst-buffer") {
-        let d = pioblast::BurstOptions::default();
-        let stripe_files = args.u64_or("stripe-files", d.stripe_files as u64)? as usize;
-        if stripe_files == 0 {
-            return Err(CliError("--stripe-files must be at least 1".into()));
-        }
         let capacity = match args.get("burst-capacity") {
-            None => d.capacity,
+            None => pioblast::BurstOptions::default().capacity,
             Some(text) => parse_size(text)?,
         };
         if capacity == 0 {
             return Err(CliError("--burst-capacity must be positive".into()));
         }
-        Some(pioblast::BurstOptions {
-            stripe_files,
-            stripe_unit: d.stripe_unit,
-            capacity,
-        })
+        Some(pioblast::BurstOptions { capacity })
     } else {
-        if args.get("stripe-files").is_some() || args.get("burst-capacity").is_some() {
-            return Err(CliError(
-                "--stripe-files/--burst-capacity require --burst-buffer".into(),
-            ));
+        if args.get("burst-capacity").is_some() {
+            return Err(CliError("--burst-capacity requires --burst-buffer".into()));
         }
         None
     };
@@ -1186,5 +1306,87 @@ mod tests {
         .is_err());
         let help = dispatch(&args(&["help"])).unwrap();
         assert!(help.contains("USAGE"));
+        assert_eq!(dispatch(&args(&["--help"])).unwrap(), help);
+    }
+
+    #[test]
+    fn unknown_and_misused_options_are_rejected_before_running() {
+        // The database and query paths do not exist: each call fails on
+        // its option before the subcommand touches a file.
+        for (extra, option) in [
+            (&["--recovr"][..], "--recovr"),
+            (&["--thread", "4"][..], "--thread"),
+            (&["--measured", "1"][..], "--measured"),
+            (&["--stripe-files", "4"][..], "--stripe-files"),
+        ] {
+            let mut v = vec![
+                "run",
+                "--program",
+                "pio",
+                "--procs",
+                "4",
+                "--db-dir",
+                "/nonexistent",
+                "--queries",
+                "q.fa",
+                "--out",
+                "out.txt",
+            ];
+            v.extend_from_slice(extra);
+            let err = dispatch(&args(&v)).unwrap_err();
+            assert!(
+                err.0.contains(option) && err.0.contains("run"),
+                "{extra:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn option_tables_match_the_usage_synopsis() {
+        // Each synopsis line under USAGE: starts `pioblast-sim <cmd>`;
+        // indented continuation lines extend the last command. `[--x]`
+        // is a flag; `--x VALUE` and `[--x VALUE]` take a value.
+        let mut synopsis: Vec<(&str, Vec<(String, OptKind)>)> = Vec::new();
+        let body = USAGE.split("USAGE:\n").nth(1).unwrap();
+        for line in body.lines().take_while(|l| !l.trim().is_empty()) {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"pioblast-sim") {
+                words.next();
+                let cmd = words.next().unwrap();
+                if synopsis.last().map(|(c, _)| *c) != Some(cmd) {
+                    synopsis.push((cmd, Vec::new()));
+                }
+            }
+            let opts = &mut synopsis.last_mut().unwrap().1;
+            for word in words {
+                let Some(name) = word.trim_start_matches('[').strip_prefix("--") else {
+                    continue;
+                };
+                opts.push(match name.strip_suffix(']') {
+                    Some(flag) => (flag.to_string(), Flag),
+                    None => (name.to_string(), Value),
+                });
+            }
+        }
+        for (cmd, _, known) in SUBCOMMANDS {
+            let mut table: Vec<(String, OptKind)> =
+                known.iter().map(|&(n, k)| (n.to_string(), k)).collect();
+            let mut listed = synopsis
+                .iter()
+                .find(|(c, _)| c == cmd)
+                .map(|(_, o)| o.clone())
+                .unwrap_or_default();
+            table.sort_by(|a, b| a.0.cmp(&b.0));
+            listed.sort_by(|a, b| a.0.cmp(&b.0));
+            listed.dedup();
+            assert_eq!(table, listed, "{cmd}: option table vs USAGE synopsis");
+        }
+        let covered: Vec<&str> = synopsis.iter().map(|(c, _)| *c).collect();
+        for cmd in covered {
+            assert!(
+                SUBCOMMANDS.iter().any(|(c, _, _)| *c == cmd),
+                "USAGE lists {cmd}, which dispatch does not know"
+            );
+        }
     }
 }

@@ -134,7 +134,7 @@ fn independent_plane<'x, 'y>(comm: &'x Comm<'y>, cfg: &'x PioBlastConfig) -> IoP
 
 /// This rank's burst-buffer staging store, when `--burst-buffer` is
 /// on: output and checkpoint writes absorb into the rank's staging
-/// volume (striped per `BurstOptions`) and drain into the shared file
+/// volume (bounded per `BurstOptions`) and drain into the shared file
 /// system in the background. The drain engine is the staging device's
 /// sequential read port, modeled on the platform's staging profile.
 fn build_burst(ctx: &RankCtx, cfg: &PioBlastConfig) -> Option<RefCell<StagingStore>> {

@@ -119,7 +119,7 @@ pub struct IoOptions {
     /// read-ahead on input, fire-and-collect on output. Off by default;
     /// the synchronous [`IoPlane::submit`] path is the paper's baseline.
     pub io_async: bool,
-    /// Burst-buffer staging knobs (the `--burst-buffer`/`--stripe-files`
+    /// Burst-buffer staging knobs (the `--burst-buffer`/`--burst-capacity`
     /// surface): when set, output and checkpoint writes are absorbed
     /// into the node's staging volume and drained asynchronously. `None`
     /// (the default) writes straight to the destination.
@@ -1083,11 +1083,7 @@ mod tests {
                 let store = RefCell::new(StagingStore::new(
                     staging,
                     fs2.clone(),
-                    BurstOptions {
-                        stripe_files: 2,
-                        stripe_unit: 8,
-                        capacity: 1 << 20,
-                    },
+                    BurstOptions { capacity: 1 << 20 },
                     burstfs::DeviceModel {
                         op_latency: 1e-5,
                         bandwidth: 1e9,
@@ -1133,11 +1129,7 @@ mod tests {
             let store = RefCell::new(StagingStore::new(
                 staging,
                 fs2.clone(),
-                BurstOptions {
-                    stripe_files: 2,
-                    stripe_unit: 8,
-                    capacity: 10,
-                },
+                BurstOptions { capacity: 10 },
                 burstfs::DeviceModel {
                     op_latency: 1e-5,
                     bandwidth: 1e9,

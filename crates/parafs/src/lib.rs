@@ -14,9 +14,7 @@
 pub mod fs;
 pub mod profile;
 pub mod store;
-pub mod stripe;
 
 pub use fs::{AsyncIo, FsCounters, SimFs};
 pub use profile::{ClassTally, FsProfile, IoClass};
 pub use store::{FileStore, StoreError};
-pub use stripe::{StripeChunk, StripeMap};

@@ -124,9 +124,9 @@ impl FsProfile {
 
     /// A node-local burst-buffer staging volume (NVMe/memory class):
     /// microsecond operations and a stream rate an order of magnitude
-    /// above any shared profile here. One stream does not saturate the
-    /// device — the aggregate headroom is what per-aggregator file
-    /// striping converts into absorb bandwidth (`crate::stripe`).
+    /// above any shared profile here. A staged put is one stream at the
+    /// per-client rate; the aggregate rate is what the device's drain
+    /// port reads back at.
     pub fn burst_buffer() -> FsProfile {
         FsProfile {
             per_client_bw: 1.5e9,

@@ -33,9 +33,9 @@ cargo test --release -q --test service
 # panic must drain the pool into a typed error, never a deadlock.
 cargo test --release -q --test pool
 # Burst-buffer staging tier: bounded staging capacity must degrade to
-# direct writes byte-identically across stripe counts x io-async x
-# threads x batched epochs, and a worker killed with staged-but-
-# undrained data must recover to the unstaged bytes (fence-before-ack).
+# direct writes byte-identically across io-async x threads x batched
+# epochs, and a worker killed with staged-but-undrained data must
+# recover to the unstaged bytes (fence-before-ack).
 cargo test --release -q --test burst
 # Bench targets (paper exhibits + kernel perf gate, ablate_hybrid
 # included via --workspace) must at least compile.
@@ -125,14 +125,24 @@ cmp "$tracetmp/report-128.txt" "$tracetmp/report-16ref.txt"
   --out "$tracetmp/report-16b2.txt"
 cmp "$tracetmp/report-128b2.txt" "$tracetmp/report-16b2.txt"
 # Burst-buffer gate: staging output writes in the per-node burst buffer
-# striped across four backing files must export a well-formed trace
-# (stage.put/stage.drain spans validate with everything else) and the
-# merged report must stay byte-identical to the unstaged run.
-"$cli" run --program pio --procs 4 --burst-buffer --stripe-files 4 \
+# must export a well-formed trace (stage.put/stage.drain spans validate
+# with everything else) and the merged report must stay byte-identical
+# to the unstaged run.
+"$cli" run --program pio --procs 4 --burst-buffer \
   --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
   --out "$tracetmp/report-burst.txt" --trace "$tracetmp/trace-burst.json"
 "$cli" trace-check --in "$tracetmp/trace-burst.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
+# The CLI rejects options it does not know: a removed flag and a typo
+# must both exit nonzero instead of running with defaults.
+for bad in "--stripe-files 4" "--recovr"; do
+  if "$cli" run --program pio --procs 4 --burst-buffer $bad \
+    --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+    --out "$tracetmp/report-bad.txt" 2>/dev/null; then
+    echo "run accepted unknown option $bad" >&2
+    exit 1
+  fi
+done
 # And the trace-diff of two identical runs must be empty. (Via a file:
 # grep -q would close the pipe early and SIGPIPE the still-printing CLI.)
 "$cli" trace-diff --a "$tracetmp/trace-128.json" --b "$tracetmp/trace-128.json" \

@@ -2,12 +2,12 @@
 //!
 //! Staging changes *where* output and checkpoint bytes sit between an
 //! epoch and its fence — absorbed into the node's staging volume,
-//! striped across backing files, drained asynchronously — but must
-//! never change *what* the merged report contains. The properties here
-//! sweep staging capacity from zero (every put backpressures and the
-//! plane degrades to direct writes) through bounded (bursty grant
-//! traffic hits `StagingFull` mid-run) to effectively unbounded, and
-//! compose that with stripe counts, `--io-async`, intra-rank compute
+//! drained asynchronously — but must never change *what* the merged
+//! report contains. The properties here sweep staging capacity from
+//! zero (every put backpressures and the plane degrades to direct
+//! writes) through bounded (bursty grant traffic hits `StagingFull`
+//! mid-run) to effectively unbounded, and compose that with
+//! `--io-async`, intra-rank compute
 //! slots (`--threads`), query batching, and `FaultMode::Recover`
 //! worker kills. Every combination must reproduce the unstaged
 //! reference bytes.
@@ -129,9 +129,9 @@ fn reference_bytes() -> &'static [u8] {
 }
 
 /// The capacity ladder the properties sweep: zero (every put refused —
-/// full degradation to direct writes), one stripe unit (bursty epochs
-/// hit `StagingFull` mid-run and individual puts degrade), a few
-/// units, and the unbounded default.
+/// full degradation to direct writes), 64 KiB (bursty epochs hit
+/// `StagingFull` mid-run and individual puts degrade), 256 KiB, and
+/// the unbounded default.
 fn capacity_pick(i: usize) -> u64 {
     [0, 64 * 1024, 256 * 1024, BurstOptions::default().capacity][i]
 }
@@ -141,7 +141,7 @@ proptest! {
 
     /// Bounded staging under bursty grant traffic degrades gracefully:
     /// whatever mix of absorbed and refused puts a capacity bound
-    /// produces — across stripe counts, the async plane, intra-rank
+    /// produces — across the async plane, intra-rank
     /// compute slots, and batched epochs — the merged report is
     /// byte-identical to the unstaged run's.
     #[test]
@@ -149,7 +149,6 @@ proptest! {
         nranks in 3usize..=5,
         nfrags in 4usize..=10,
         capacity_i in 0usize..4,
-        stripe_pick in 0usize..3,
         flags in 0u32..8,
         batch_pick in 0usize..=2,
         threads in 1usize..=2,
@@ -160,9 +159,7 @@ proptest! {
             nranks,
             nfrags,
             burst: Some(BurstOptions {
-                stripe_files: [1, 2, 4][stripe_pick],
                 capacity: capacity_pick(capacity_i),
-                ..Default::default()
             }),
             io_async,
             collective_output,
@@ -176,8 +173,8 @@ proptest! {
         prop_assert_eq!(
             &bytes[..],
             reference_bytes(),
-            "nranks={} nfrags={} cap={} stripes={} async={} dyn={} co={} batch={} threads={}",
-            nranks, nfrags, capacity_pick(capacity_i), [1, 2, 4][stripe_pick],
+            "nranks={} nfrags={} cap={} async={} dyn={} co={} batch={} threads={}",
+            nranks, nfrags, capacity_pick(capacity_i),
             io_async, dynamic, collective_output, batch_pick, threads
         );
     }
@@ -205,7 +202,6 @@ proptest! {
             nfrags,
             burst: Some(BurstOptions {
                 capacity: capacity_pick(capacity_i),
-                ..Default::default()
             }),
             io_async,
             collective_output: false,
@@ -234,10 +230,7 @@ proptest! {
 #[test]
 fn zero_capacity_degrades_to_direct_writes() {
     let (bytes, killed) = run_opts(Opts {
-        burst: Some(BurstOptions {
-            capacity: 0,
-            ..Default::default()
-        }),
+        burst: Some(BurstOptions { capacity: 0 }),
         query_batch: Some(2),
         ..Opts::default()
     });
