@@ -28,9 +28,7 @@ use std::fmt::Write as _;
 
 use blast_bench::runner::PHASE_PRECEDENCE;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, Platform};
+use mpiblast::{phases, Platform};
 use pioblast::{BurstOptions, FaultMode, FragmentSchedule, IoOptions, PioBlastConfig};
 use simcluster::{FaultPlan, Sim};
 
@@ -53,24 +51,12 @@ fn run_one(platform: &Platform, burst: Option<BurstOptions>, kill: Option<(usize
     let sim = Sim::new(NPROCS);
     let tracer = tracelog::Tracer::new(NPROCS);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
     let faulty = kill.is_some();
     let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
         compute: workload.compute,
-        params: SearchParams::blastp(),
         report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
         num_fragments: Some((NPROCS - 1) * 2),
-        collective_output: true,
-        local_prune: false,
         query_batch: Some(BATCH),
-        collective_input: false,
         schedule: if faulty {
             FragmentSchedule::Dynamic
         } else {
@@ -82,13 +68,11 @@ fn run_one(platform: &Platform, burst: Option<BurstOptions>, kill: Option<(usize
             Default::default()
         },
         checkpoint: faulty,
-        rank_compute: None,
-        threads: 1,
         io: IoOptions {
             burst,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, platform, &workload.db, &workload.queries)
     };
     let plan = match kill {
         None => FaultPlan::none(),
@@ -121,7 +105,12 @@ fn run_one(platform: &Platform, burst: Option<BurstOptions>, kill: Option<(usize
         },
         stage_puts: count("stage.put"),
         stage_drains: count("stage.drain"),
-        report: env.shared.peek("out.txt").expect("merged report").to_vec(),
+        report: cfg
+            .env
+            .shared
+            .peek(&cfg.output_path)
+            .expect("merged report")
+            .to_vec(),
     }
 }
 

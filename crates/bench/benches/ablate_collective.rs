@@ -10,10 +10,8 @@
 
 use blast_bench::table::breakdown_table;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_with_options, PioOptions, Program};
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform, ReportOptions};
+use blast_bench::{run_traced, Program};
+use mpiblast::Platform;
 use pioblast::PioBlastConfig;
 use simcluster::Sim;
 
@@ -23,19 +21,8 @@ fn main() {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for collective in [true, false] {
-            let s = run_with_options(
-                Program::PioBlast,
-                32,
-                None,
-                &platform,
-                &workload,
-                PioOptions {
-                    collective_output: collective,
-                    local_prune: false,
-                    threads: 1,
-                    ..Default::default()
-                },
-            );
+            let tweak = |c: &mut PioBlastConfig| c.collective_output = collective;
+            let (s, _) = run_traced(Program::PioBlast, 32, None, &platform, &workload, tweak);
             labels.push(if collective {
                 "collective"
             } else {
@@ -75,30 +62,11 @@ fn main() {
         let mut input_times = Vec::new();
         for collective_input in [false, true] {
             let sim = Sim::new(32);
-            let env = ClusterEnv::new(&sim, &platform);
-            let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let query_path = stage_queries(&env.shared, &workload.queries);
             let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
                 compute: workload.compute,
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "out.txt".into(),
                 num_fragments: Some(31 * 8),
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
                 collective_input,
-                schedule: Default::default(),
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: None,
-                threads: 1,
-                io: Default::default(),
-                service: None,
+                ..PioBlastConfig::staged(&sim, &platform, &workload.db, &workload.queries)
             };
             let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
             let input_max = outcome

@@ -8,9 +8,7 @@
 //! several granularities.
 
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
+use mpiblast::Platform;
 use pioblast::{FragmentSchedule, PioBlastConfig};
 use simcluster::Sim;
 
@@ -35,30 +33,13 @@ fn main() {
         let mut totals = Vec::new();
         for schedule in [FragmentSchedule::Static, FragmentSchedule::Dynamic] {
             let sim = Sim::new(nprocs);
-            let env = ClusterEnv::new(&sim, &platform);
-            let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let query_path = stage_queries(&env.shared, &workload.queries);
             let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
                 compute: workload.compute,
-                params: SearchParams::blastp(),
                 report: workload.report,
-                db_alias,
-                query_path,
-                output_path: "out.txt".into(),
                 num_fragments: Some(nfrags),
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
                 schedule,
-                fault: Default::default(),
-                checkpoint: false,
                 rank_compute: Some(scales.clone()),
-                threads: 1,
-                io: Default::default(),
-                service: None,
+                ..PioBlastConfig::staged(&sim, &platform, &workload.db, &workload.queries)
             };
             let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
             totals.push(outcome.elapsed.as_secs_f64());

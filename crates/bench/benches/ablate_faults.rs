@@ -20,9 +20,7 @@
 use std::fmt::Write as _;
 
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
+use mpiblast::Platform;
 use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
 use simcluster::{FaultPlan, Sim};
 
@@ -52,30 +50,15 @@ fn run_mode(platform: &Platform, checkpoint: bool) -> Vec<Run> {
             plan = plan.kill_after_sends(rank, sends);
         }
         let sim = Sim::new(NPROCS);
-        let env = ClusterEnv::new(&sim, platform);
-        let db_alias = stage_shared_db(&env.shared, &workload.db);
-        let query_path = stage_queries(&env.shared, &workload.queries);
         let cfg = PioBlastConfig {
-            platform: platform.clone(),
-            env: env.clone(),
             compute: workload.compute,
-            params: SearchParams::blastp(),
             report: workload.report,
-            db_alias,
-            query_path,
-            output_path: "out.txt".into(),
             num_fragments: Some(nfrags),
             collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
             schedule: FragmentSchedule::Dynamic,
             fault: FaultMode::Recover,
             checkpoint,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..PioBlastConfig::staged(&sim, platform, &workload.db, &workload.queries)
         };
         let outcome = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
         assert_eq!(outcome.killed.len(), failures, "every planned kill fires");
@@ -83,7 +66,11 @@ fn run_mode(platform: &Platform, checkpoint: bool) -> Vec<Run> {
             matches!(outcome.outputs[0], Some(Ok(_))),
             "master completes despite {failures} failures"
         );
-        let bytes = env.shared.peek("out.txt").expect("output written");
+        let bytes = cfg
+            .env
+            .shared
+            .peek(&cfg.output_path)
+            .expect("output written");
         let elapsed = outcome.elapsed.as_secs_f64();
         if failures == 0 {
             baseline_elapsed = elapsed;

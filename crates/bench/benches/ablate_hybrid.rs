@@ -26,8 +26,7 @@ use std::fmt::Write as _;
 
 use blast_bench::runner::PHASE_PRECEDENCE;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, Platform};
+use mpiblast::{phases, Platform};
 use pioblast::PioBlastConfig;
 use simcluster::Sim;
 
@@ -48,30 +47,12 @@ fn run_one(platform: &Platform, workload: &Workload, slots: usize) -> Run {
     let sim = Sim::new(RANKS);
     let tracer = tracelog::Tracer::new(RANKS);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
     let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
         compute: workload.compute,
         params: workload.params.clone(),
         report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
         threads: slots,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, platform, &workload.db, &workload.queries)
     };
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &outcome.outputs {
@@ -95,7 +76,11 @@ fn run_one(platform: &Platform, workload: &Workload, slots: usize) -> Run {
         }
         assert_eq!(cursor, trace.wall, "rank {rank}: span sums != DES wall");
     }
-    let output = env.shared.peek("out.txt").expect("merged output present");
+    let output = cfg
+        .env
+        .shared
+        .peek(&cfg.output_path)
+        .expect("merged output present");
     Run {
         slots,
         elapsed_s: outcome.elapsed.as_secs_f64(),
@@ -212,7 +197,7 @@ fn main() {
             let chrome = tracelog::chrome::export_chrome(&four.trace, None);
             let stats = tracelog::check::validate_chrome(&chrome)
                 .expect("slot-parallel chrome export validates");
-            assert_eq!(stats.ranks, RANKS as usize);
+            assert_eq!(stats.ranks, RANKS);
             assert!(
                 chrome.contains("\"search slot 3\""),
                 "4-slot run must populate all four slot sub-lanes"

@@ -25,9 +25,7 @@ use std::fmt::Write as _;
 
 use blast_bench::runner::PHASE_PRECEDENCE;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
+use mpiblast::Platform;
 use parafs::FsCounters;
 use pioblast::{IoOptions, IoStrategy, PioBlastConfig};
 use simcluster::Sim;
@@ -69,38 +67,23 @@ fn run_one(
     let sim = Sim::new(procs);
     let tracer = tracelog::Tracer::new(procs);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
     let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
         compute: workload.compute,
-        params: SearchParams::blastp(),
         report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
         // Several fragments per worker: each rank's share of every volume
         // file is a list of noncontiguous ranges, which is exactly the
         // access shape the strategies differ on.
         num_fragments: Some((procs - 1) * 4),
         collective_output: collective,
-        local_prune: false,
-        query_batch: None,
         collective_input: collective,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
         io: IoOptions {
             strategy,
             io_async,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, platform, &workload.db, &workload.queries)
     };
+    let env = &cfg.env;
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &outcome.outputs {
         r.as_ref().expect("rank completed");
@@ -121,7 +104,10 @@ fn run_one(
     } else {
         outcome.elapsed.as_secs_f64() / wall as f64
     };
-    let output = env.shared.peek("out.txt").expect("merged output present");
+    let output = env
+        .shared
+        .peek(&cfg.output_path)
+        .expect("merged output present");
     Run {
         procs,
         elapsed_s: outcome.elapsed.as_secs_f64(),
@@ -259,14 +245,14 @@ fn main() {
         sync_r.io_path_s,
         async_r.io_path_s
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
         "  \"async_16\": {{\"platform\": \"{}\", \"procs\": 16, \"strategy\": \"{}\", \
          \"sync\": {{\"elapsed_s\": {:.6}, \"io_path_s\": {:.6}, \
          \"share_input\": {:.6}, \"share_output\": {:.6}}}, \
          \"async\": {{\"elapsed_s\": {:.6}, \"io_path_s\": {:.6}, \
          \"share_input\": {:.6}, \"share_output\": {:.6}}}, \
-         \"bytes_identical\": true}}\n",
+         \"bytes_identical\": true}}",
         blade.name,
         IoStrategy::Sieve.label(),
         sync_r.elapsed_s,

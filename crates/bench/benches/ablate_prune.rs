@@ -11,7 +11,7 @@
 
 use blast_bench::table::breakdown_table;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_with_options, PioOptions, Program};
+use blast_bench::{run_traced, Program};
 use mpiblast::{Platform, ReportOptions};
 
 fn main() {
@@ -24,19 +24,8 @@ fn main() {
     let platform = Platform::altix();
     let mut rows = Vec::new();
     for prune in [false, true] {
-        rows.push(run_with_options(
-            Program::PioBlast,
-            8,
-            None,
-            &platform,
-            &workload,
-            PioOptions {
-                collective_output: true,
-                local_prune: prune,
-                threads: 1,
-                ..Default::default()
-            },
-        ));
+        let tweak = |c: &mut pioblast::PioBlastConfig| c.local_prune = prune;
+        rows.push(run_traced(Program::PioBlast, 8, None, &platform, &workload, tweak).0);
     }
     println!(
         "{}",

@@ -36,8 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use blast_bench::runner::PHASE_PRECEDENCE;
 use blast_bench::workload::scaled_params;
 use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, Platform};
+use mpiblast::{phases, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::sampler::sample_queries;
 use seqfmt::synth::MultiVolumeConfig;
@@ -155,30 +154,10 @@ fn run_scale(
     let sim = Sim::with_pool(nranks, pool);
     let tracer = tracelog::Tracer::new(nranks);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &w.db);
-    let query_path = stage_queries(&env.shared, &w.queries);
     let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
         params: w.params.clone(),
-        report: scaled_params().1,
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, platform, &w.db, &w.queries)
     };
     let outcome = sim.run(|ctx| {
         if sample_threads {
@@ -205,7 +184,7 @@ fn run_scale(
         share_input: share(phases::COPY) + share(phases::INPUT),
         share_search: share(phases::SEARCH),
         share_output: share(phases::OUTPUT),
-        report: env.shared.peek("results.txt").expect("report").to_vec(),
+        report: cfg.env.shared.peek("results.txt").expect("report").to_vec(),
         chrome: tracelog::chrome::export_chrome(&trace, None),
     }
 }

@@ -17,8 +17,8 @@
 //!   change placement and data motion, never results;
 //! * affinity-on hit rate exceeds 50% on every profile (an 8-batch
 //!   stream with a capacious store misses only the cold batch);
-//! * headline: on the blade/NFS profile, affinity-on throughput is
-//!   >= 2x affinity-off — re-reading the database per batch is exactly
+//! * headline: on the blade/NFS profile, affinity-on throughput is at
+//!   least 2x affinity-off — re-reading the database per batch is exactly
 //!   the NFS bottleneck the paper's staging amortizes, and residency
 //!   amortizes it across the stream;
 //! * the affinity-on blade trace passes the trace-check validator.
@@ -28,11 +28,9 @@
 use std::fmt::Write as _;
 
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
-use pioblast::{
-    FaultMode, FragmentSchedule, PioBlastConfig, QueryStreamPlan, ServiceMetrics, ServiceOptions,
-};
+use blast_core::seq::SeqRecord;
+use mpiblast::Platform;
+use pioblast::{FragmentSchedule, PioBlastConfig, QueryStreamPlan, ServiceMetrics, ServiceOptions};
 use simcluster::Sim;
 
 const NBATCHES: usize = 8;
@@ -40,36 +38,25 @@ const USERS: u32 = 4;
 const MEAN_GAP_NS: u64 = 1_000_000;
 const PLAN_SEED: u64 = 2005;
 
+/// The service-shaped run over `queries`: dynamic grants of one
+/// fragment per worker, four compute slots each, independent output.
 fn base_cfg(
+    sim: &Sim,
     platform: &Platform,
-    env: &ClusterEnv,
     workload: &Workload,
-    nfrags: usize,
-    db_alias: String,
-    query_path: String,
+    queries: &[SeqRecord],
     service: Option<ServiceOptions>,
 ) -> PioBlastConfig {
     PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
         compute: workload.compute,
         params: workload.params.clone(),
         report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: Some(nfrags),
+        num_fragments: Some(sim.nranks() - 1),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
         threads: 4,
-        io: Default::default(),
         service,
+        ..PioBlastConfig::staged(sim, platform, &workload.db, queries)
     }
 }
 
@@ -77,7 +64,7 @@ struct ServiceRun {
     affinity: bool,
     elapsed_s: f64,
     metrics: ServiceMetrics,
-    /// Per-stream-batch report bytes (`out.txt.q<b>`).
+    /// Per-stream-batch report bytes (`results.txt.q<b>`).
     batches: Vec<Vec<u8>>,
     trace: tracelog::Trace,
 }
@@ -92,10 +79,6 @@ fn run_service(
     let sim = Sim::new(ranks);
     let tracer = tracelog::Tracer::new(ranks);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
-    let nfrags = ranks - 1;
     let service = ServiceOptions {
         plan: plan.clone(),
         // Capacious on the affinity side (every worker's share fits);
@@ -103,15 +86,7 @@ fn run_service(
         resident_bytes: if affinity { 256 << 20 } else { 0 },
         affinity,
     };
-    let cfg = base_cfg(
-        platform,
-        &env,
-        workload,
-        nfrags,
-        db_alias,
-        query_path,
-        Some(service),
-    );
+    let cfg = base_cfg(&sim, platform, workload, &workload.queries, Some(service));
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &outcome.outputs {
         r.as_ref().expect("rank completed");
@@ -120,8 +95,9 @@ fn run_service(
     let trace = tracer.finish(wall);
     let batches = (0..plan.batches.len())
         .map(|b| {
-            env.shared
-                .peek(&format!("out.txt.q{b}"))
+            cfg.env
+                .shared
+                .peek(&format!("{}.q{b}", cfg.output_path))
                 .expect("per-batch report present")
         })
         .collect();
@@ -140,19 +116,18 @@ fn one_shot(
     platform: &Platform,
     ranks: usize,
     workload: &Workload,
-    queries: &[blast_core::seq::SeqRecord],
+    queries: &[SeqRecord],
 ) -> Vec<u8> {
     let sim = Sim::new(ranks);
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, queries);
-    let nfrags = ranks - 1;
-    let cfg = base_cfg(platform, &env, workload, nfrags, db_alias, query_path, None);
+    let cfg = base_cfg(&sim, platform, workload, queries, None);
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &outcome.outputs {
         r.as_ref().expect("rank completed");
     }
-    env.shared.peek("out.txt").expect("one-shot report present")
+    cfg.env
+        .shared
+        .peek(&cfg.output_path)
+        .expect("one-shot report present")
 }
 
 fn main() {

@@ -842,14 +842,14 @@ fn main() {
         avg_subject,
         prepared.len()
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
-        "  \"baseline\": {{\"ns_per_residue\": {:.3}, \"allocs_per_subject\": {:.3}}},\n",
+        "  \"baseline\": {{\"ns_per_residue\": {:.3}, \"allocs_per_subject\": {:.3}}},",
         base.ns_per_residue, base.allocs_per_subject
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
-        "  \"scratch\": {{\"ns_per_residue\": {:.3}, \"allocs_per_subject\": {:.3}}},\n",
+        "  \"scratch\": {{\"ns_per_residue\": {:.3}, \"allocs_per_subject\": {:.3}}},",
         new.ns_per_residue, new.allocs_per_subject
     );
     let _ = write!(

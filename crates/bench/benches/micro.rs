@@ -217,7 +217,7 @@ fn bench_collective_io(c: &mut Criterion) {
                 let regions: Vec<(u64, u64)> = (0..64).map(|i| ((i * 8 + me) * 128, 128)).collect();
                 let view = FileView::new(0, regions).unwrap();
                 let data = vec![me as u8; view.total_bytes() as usize];
-                file.write_at_all(&view, &data);
+                file.write_at_all(&view, &data).expect("collective write");
             })
         })
     });

@@ -15,4 +15,4 @@ pub mod runner;
 pub mod table;
 pub mod workload;
 
-pub use runner::{run_once, run_traced, run_with_options, PioOptions, Program, RunSummary};
+pub use runner::{run_once, run_traced, Program, RunSummary};

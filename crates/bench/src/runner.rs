@@ -1,8 +1,7 @@
 //! Run orchestration: execute one simulated mpiBLAST or pioBLAST job and
 //! summarize it the way the paper reports results.
 
-use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, MpiBlastConfig, Platform, RankReport};
+use mpiblast::{phases, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use simcluster::{Sim, SimDuration};
 use tracelog::Trace;
@@ -111,32 +110,6 @@ fn summarize(
     }
 }
 
-/// pioBLAST ablation switches (the defaults are the paper's design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PioOptions {
-    /// Two-phase collective output vs. independent per-record writes.
-    pub collective_output: bool,
-    /// Worker-side local pruning before formatting (paper §5).
-    pub local_prune: bool,
-    /// Intra-rank compute slots per worker (`--threads`).
-    pub threads: usize,
-    /// DES engine worker-pool width (`--pool-threads`); `None` uses
-    /// [`simcluster::default_pool_threads`]. Applies to both programs —
-    /// it is an engine knob, invisible to every output and trace byte.
-    pub pool_threads: Option<usize>,
-}
-
-impl Default for PioOptions {
-    fn default() -> PioOptions {
-        PioOptions {
-            collective_output: true,
-            local_prune: false,
-            threads: 1,
-            pool_threads: None,
-        }
-    }
-}
-
 /// Execute one run. `nfrags` is the physical fragment count for mpiBLAST
 /// or the virtual fragment count for pioBLAST; `None` selects natural
 /// partitioning (one fragment per worker).
@@ -147,104 +120,57 @@ pub fn run_once(
     platform: &Platform,
     workload: &Workload,
 ) -> RunSummary {
-    run_with_options(
-        program,
-        nprocs,
-        nfrags,
-        platform,
-        workload,
-        PioOptions::default(),
-    )
+    run_traced(program, nprocs, nfrags, platform, workload, |_| {}).0
 }
 
-/// [`run_once`] with explicit pioBLAST ablation options.
-pub fn run_with_options(
-    program: Program,
-    nprocs: usize,
-    nfrags: Option<usize>,
-    platform: &Platform,
-    workload: &Workload,
-    pio_options: PioOptions,
-) -> RunSummary {
-    run_traced(program, nprocs, nfrags, platform, workload, pio_options).0
-}
-
-/// [`run_with_options`], additionally returning the run's merged trace
-/// (the summary's phase breakdown is derived from it).
+/// [`run_once`], with `tweak` applied to the pioBLAST configuration (an
+/// ablation flips one of its switches; mpiBLAST runs ignore it), also
+/// returning the run's merged trace (the summary's phase breakdown is
+/// derived from it).
 pub fn run_traced(
     program: Program,
     nprocs: usize,
     nfrags: Option<usize>,
     platform: &Platform,
     workload: &Workload,
-    pio_options: PioOptions,
+    tweak: impl FnOnce(&mut PioBlastConfig),
 ) -> (RunSummary, Trace) {
-    let sim = match pio_options.pool_threads {
-        Some(pool) => Sim::with_pool(nprocs, pool),
-        None => Sim::new(nprocs),
-    };
+    let sim = Sim::new(nprocs);
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let query_path = stage_queries(&env.shared, &workload.queries);
+    let (db, queries) = (&workload.db, &workload.queries);
     let nworkers = nprocs - 1;
-    let output_path = "results.txt".to_string();
 
-    let (_reports, elapsed, actual_frags) = match program {
+    let (env, output_path, elapsed, actual_frags) = match program {
         Program::MpiBlast => {
-            let fragment_names =
-                stage_fragments(&env.shared, &workload.db, nfrags.unwrap_or(nworkers));
-            let actual = fragment_names.len();
             let cfg = MpiBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
                 compute: workload.compute,
                 params: workload.params.clone(),
                 report: workload.report,
-                fragment_names,
-                query_path,
-                output_path: output_path.clone(),
-                fault_detection: false,
+                ..MpiBlastConfig::staged(&sim, platform, db, queries, nfrags.unwrap_or(nworkers))
             };
             let outcome = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-            let reports = outcome
-                .outputs
-                .into_iter()
-                .map(|r| r.expect("fault-free run completes"))
-                .collect();
-            (reports, outcome.elapsed, actual)
+            for r in outcome.outputs {
+                r.expect("fault-free run completes");
+            }
+            let actual = cfg.fragment_names.len();
+            (cfg.env, cfg.output_path, outcome.elapsed, actual)
         }
         Program::PioBlast => {
-            let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
+            let mut cfg = PioBlastConfig {
                 compute: workload.compute,
                 params: workload.params.clone(),
                 report: workload.report,
-                db_alias,
-                query_path,
-                output_path: output_path.clone(),
                 num_fragments: nfrags,
-                collective_output: pio_options.collective_output,
-                local_prune: pio_options.local_prune,
-                query_batch: None,
-                collective_input: false,
-                schedule: Default::default(),
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: None,
-                threads: pio_options.threads,
-                io: Default::default(),
-                service: None,
+                ..PioBlastConfig::staged(&sim, platform, db, queries)
             };
+            tweak(&mut cfg);
             let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            let reports: Vec<RankReport> = outcome
-                .outputs
-                .into_iter()
-                .map(|r| r.expect("fault-free run completes"))
-                .collect();
-            (reports, outcome.elapsed, nfrags.unwrap_or(nworkers))
+            for r in outcome.outputs {
+                r.expect("fault-free run completes");
+            }
+            let actual = nfrags.unwrap_or(nworkers);
+            (cfg.env, cfg.output_path, outcome.elapsed, actual)
         }
     };
     let output_bytes = env
@@ -296,14 +222,7 @@ mod tests {
     fn summary_phases_are_the_trace_critical_path() {
         let w = nr_like(50_000, 1024, 17);
         for program in [Program::MpiBlast, Program::PioBlast] {
-            let (s, trace) = run_traced(
-                program,
-                4,
-                None,
-                &Platform::altix(),
-                &w,
-                PioOptions::default(),
-            );
+            let (s, trace) = run_traced(program, 4, None, &Platform::altix(), &w, |_| {});
             // The critical path partitions the engine wall clock exactly
             // (integer nanoseconds): the old proportional-scaling fixup
             // must have nothing left to do.

@@ -5,10 +5,7 @@ use std::path::Path;
 
 use blast_core::alphabet::Molecule;
 use blast_core::fasta;
-use blast_core::search::SearchParams;
-use mpiblast::report::ReportOptions;
-use mpiblast::setup::{stage_fragments, stage_queries};
-use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
+use mpiblast::{ComputeModel, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::FormatDbConfig;
 use seqfmt::sampler::sample_queries;
@@ -134,10 +131,13 @@ a full buffer degrades that write to a direct one (typed backpressure).
 
 type Handler = fn(&ParsedArgs) -> Result<String, CliError>;
 
+/// A subcommand's name, its handler, and the options it accepts.
+type Subcommand = (&'static str, Handler, &'static [(&'static str, OptKind)]);
+
 /// Every subcommand with its handler and the options it accepts.
 /// `dispatch` rejects anything else before the handler runs, and a
 /// test holds each table equal to the subcommand's USAGE synopsis.
-const SUBCOMMANDS: &[(&str, Handler, &[(&str, OptKind)])] = &[
+const SUBCOMMANDS: &[Subcommand] = &[
     (
         "gen",
         cmd_gen,
@@ -272,6 +272,22 @@ fn molecule_of(args: &ParsedArgs) -> Molecule {
         Molecule::Dna
     } else {
         Molecule::Protein
+    }
+}
+
+fn compute_model(args: &ParsedArgs) -> ComputeModel {
+    if args.flag("measured") {
+        ComputeModel::measured()
+    } else {
+        ComputeModel::modeled()
+    }
+}
+
+/// An optional count option, rejected when given as zero.
+fn count_opt(args: &ParsedArgs, key: &str) -> Result<Option<usize>, CliError> {
+    match args.u64_opt(key)? {
+        Some(0) => Err(CliError(format!("--{key} must be at least 1"))),
+        n => Ok(n.map(|v| v as usize)),
     }
 }
 
@@ -541,66 +557,41 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     let out = args.require("out")?;
     let platform = parse_platform(args)?;
     let threads = args.u64_or("threads", 1)? as usize;
+    let nfrags = count_opt(args, "frags")?;
+    let query_batch = count_opt(args, "batch")?;
     let molecule = molecule_of(args);
-    let params = match molecule {
-        Molecule::Protein => SearchParams::blastp(),
-        Molecule::Dna => SearchParams::blastn(),
-    };
-    let compute = if args.flag("measured") {
-        ComputeModel::measured()
-    } else {
-        ComputeModel::modeled()
-    };
     let db = load_db(db_dir)?;
     let query_text = fs::read(queries_path)?;
     let queries = fasta::parse(molecule, &query_text)
         .map_err(|e| CliError(format!("parsing {queries_path}: {e}")))?;
-    let nfrags = args.u64_opt("frags")?.map(|v| v as usize);
 
     let filter = trace_filter(args)?;
     let sim = make_sim(args, nprocs)?;
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &platform);
-    let query_path = stage_queries(&env.shared, &queries);
+    // Not the library default: the shared report path shows up in
+    // burst-buffer trace args, and traces stay comparable across versions.
     let output_path = "report.txt".to_string();
-    let (elapsed, stats) = match program.as_str() {
+    let (env, outcome) = match program.as_str() {
         "mpi" => {
-            let fragment_names = stage_fragments(&env.shared, &db, nfrags.unwrap_or(nprocs - 1));
+            let nfrags = nfrags.unwrap_or(nprocs - 1);
             let cfg = MpiBlastConfig {
-                platform,
-                env: env.clone(),
-                compute,
-                params,
-                report: ReportOptions::default(),
-                fragment_names,
-                query_path,
+                compute: compute_model(args),
                 output_path: output_path.clone(),
                 fault_detection: args.flag("fault-detect"),
+                ..MpiBlastConfig::staged(&sim, &platform, &db, &queries, nfrags)
             };
-            let o = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-            for r in &o.outputs {
-                if let Err(e) = r {
-                    return Err(CliError(format!("run failed: {e}")));
-                }
-            }
-            (o.elapsed, o.stats)
+            let o = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg).map_err(|e| e.to_string()));
+            (cfg.env, o)
         }
         "pio" => {
-            let db_alias = mpiblast::setup::stage_shared_db(&env.shared, &db);
             let cfg = PioBlastConfig {
-                platform,
-                env: env.clone(),
-                compute,
-                params,
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
+                compute: compute_model(args),
                 output_path: output_path.clone(),
                 num_fragments: nfrags,
                 collective_output: !args.flag("no-collective"),
                 local_prune: args.flag("prune"),
-                query_batch: args.u64_opt("batch")?.map(|v| v as usize),
+                query_batch,
                 collective_input: args.flag("collective-input"),
                 schedule: if args.flag("dynamic") || args.flag("recover") {
                     pioblast::FragmentSchedule::Dynamic
@@ -615,18 +606,12 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                     pioblast::FaultMode::Off
                 },
                 checkpoint: args.flag("checkpoint"),
-                rank_compute: None,
                 threads,
                 io: io_options(args)?,
-                service: None,
+                ..PioBlastConfig::staged(&sim, &platform, &db, &queries)
             };
-            let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            for r in &o.outputs {
-                if let Err(e) = r {
-                    return Err(CliError(format!("run failed: {e}")));
-                }
-            }
-            (o.elapsed, o.stats)
+            let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg).map_err(|e| e.to_string()));
+            (cfg.env, o)
         }
         other => {
             return Err(CliError(format!(
@@ -634,6 +619,12 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
             )))
         }
     };
+    for r in &outcome.outputs {
+        if let Err(e) = r {
+            return Err(CliError(format!("run failed: {e}")));
+        }
+    }
+    let (elapsed, stats) = (outcome.elapsed, outcome.stats);
     let report = env
         .shared
         .peek(&output_path)
@@ -675,7 +666,8 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let queries_path = args.require("queries")?;
     let out = args.require("out")?.to_string();
     let platform = parse_platform(args)?;
-    let users = args.u64_or("users", 4)? as u32;
+    let users = u32::try_from(args.u64_or("users", 4)?)
+        .map_err(|_| CliError(format!("--users must be at most {}", u32::MAX)))?;
     if users == 0 {
         return Err(CliError("--users must be at least 1".into()));
     }
@@ -683,20 +675,23 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     if nbatches == 0 {
         return Err(CliError("--stream-batches must be at least 1".into()));
     }
-    let mean_gap_ms = args.u64_or("mean-gap-ms", 1)?;
-    let resident_mb = args.u64_or("resident-mb", 0)?;
+    // Every arrival, up to 1.5 mean gaps apart, must fit the u64 ns clock.
+    let mean_gap_ns = args
+        .u64_or("mean-gap-ms", 1)?
+        .checked_mul(1_000_000)
+        .filter(|ns| {
+            ns.checked_mul((nbatches as u64).saturating_mul(2))
+                .is_some()
+        })
+        .ok_or_else(|| CliError("--mean-gap-ms is too large for the virtual clock".into()))?;
+    let resident_bytes = args
+        .u64_or("resident-mb", 0)?
+        .checked_mul(1 << 20)
+        .ok_or_else(|| CliError("--resident-mb is too large for a byte count".into()))?;
+    let nfrags = count_opt(args, "frags")?;
     let seed = args.u64_or("seed", 42)?;
     let threads = args.u64_or("threads", 1)? as usize;
     let molecule = molecule_of(args);
-    let params = match molecule {
-        Molecule::Protein => SearchParams::blastp(),
-        Molecule::Dna => SearchParams::blastn(),
-    };
-    let compute = if args.flag("measured") {
-        ComputeModel::measured()
-    } else {
-        ComputeModel::modeled()
-    };
     let db = load_db(db_dir)?;
     let query_text = fs::read(queries_path)?;
     let queries = fasta::parse(molecule, &query_text)
@@ -708,36 +703,19 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
             queries.len()
         )));
     }
-    let plan = pioblast::QueryStreamPlan::generate(
-        users,
-        nbatches,
-        queries.len(),
-        mean_gap_ms * 1_000_000,
-        seed,
-    );
+    let plan =
+        pioblast::QueryStreamPlan::generate(users, nbatches, queries.len(), mean_gap_ns, seed);
 
     let filter = trace_filter(args)?;
     let sim = make_sim(args, nprocs)?;
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &platform);
-    let db_alias = mpiblast::setup::stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let output_path = "report.txt".to_string();
     let cfg = PioBlastConfig {
-        platform,
-        env: env.clone(),
-        compute,
-        params,
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
+        compute: compute_model(args),
         output_path: output_path.clone(),
-        num_fragments: args.u64_opt("frags")?.map(|v| v as usize),
+        num_fragments: nfrags,
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: pioblast::FragmentSchedule::Dynamic,
         fault: if args.flag("recover") {
             pioblast::FaultMode::Recover
@@ -745,14 +723,14 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
             pioblast::FaultMode::Off
         },
         checkpoint: args.flag("checkpoint"),
-        rank_compute: None,
         threads,
         io: io_options(args)?,
         service: Some(pioblast::ServiceOptions {
             plan,
-            resident_bytes: resident_mb << 20,
+            resident_bytes,
             affinity: args.flag("affinity"),
         }),
+        ..PioBlastConfig::staged(&sim, &platform, &db, &queries)
     };
     let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &o.outputs {
@@ -762,7 +740,8 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let mut bytes = 0usize;
     for b in 0..nbatches {
-        let report = env
+        let report = cfg
+            .env
             .shared
             .peek(&format!("{output_path}.q{b}"))
             .map_err(|e| CliError(format!("stream batch {b} produced no report: {e}")))?;
@@ -1339,6 +1318,53 @@ mod tests {
                 "{extra:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_before_running() {
+        // As above, the paths do not exist: each call fails on its
+        // number, naming the option, before any file is read.
+        let paths = [
+            "--db-dir",
+            "/nonexistent",
+            "--queries",
+            "q.fa",
+            "--out",
+            "out.txt",
+        ];
+        for (cmd, extra) in [
+            ("serve", ["--users", "4294967297"]),
+            ("serve", ["--users", "0"]),
+            ("serve", ["--resident-mb", "17592186044416"]),
+            ("serve", ["--mean-gap-ms", "18446744073710"]),
+            ("serve", ["--mean-gap-ms", "18446744073709"]),
+            ("serve", ["--frags", "0"]),
+            ("run", ["--frags", "0"]),
+            ("run", ["--batch", "0"]),
+        ] {
+            let mut v = vec![cmd, "--procs", "4"];
+            if cmd == "run" {
+                v.extend_from_slice(&["--program", "pio"]);
+            }
+            v.extend_from_slice(&paths);
+            v.extend_from_slice(&extra);
+            let err = dispatch(&args(&v)).unwrap_err();
+            assert!(err.0.contains(extra[0]), "{cmd} {extra:?}: {err}");
+        }
+        // In-range values get past the numbers to the missing database.
+        let v = [
+            "serve",
+            "--procs",
+            "4",
+            "--users",
+            "4294967295",
+            "--resident-mb",
+            "17592186044415",
+            "--mean-gap-ms",
+            "1000000",
+        ];
+        let err = dispatch(&args(&[&v[..], &paths[..]].concat())).unwrap_err();
+        assert!(err.0.starts_with("I/O error"), "{err}");
     }
 
     #[test]

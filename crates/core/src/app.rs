@@ -26,12 +26,15 @@
 //! event-driven state-machine pair shared by every mode; this module only
 //! validates the configuration and dispatches ranks into it.
 
-use blast_core::seq::SeqRecord;
+use blast_core::search::SearchParams;
+use blast_core::{Molecule, SeqRecord};
 use mpiblast::platform::{ClusterEnv, Platform};
 use mpiblast::report::ReportOptions;
+use mpiblast::setup::{stage_queries, stage_shared_db};
 use mpiblast::{ComputeModel, RankReport, MASTER};
 use mpisim::Comm;
-use simcluster::RankCtx;
+use seqfmt::FormattedDb;
+use simcluster::{RankCtx, Sim};
 
 use crate::fault::{FaultMode, PioError};
 
@@ -58,7 +61,7 @@ pub struct PioBlastConfig {
     /// Compute-cost mode.
     pub compute: ComputeModel,
     /// BLAST search parameters.
-    pub params: blast_core::search::SearchParams,
+    pub params: SearchParams,
     /// Report-size limits.
     pub report: ReportOptions,
     /// Alias-file path of the shared formatted database.
@@ -133,6 +136,50 @@ pub struct PioBlastConfig {
 }
 
 impl PioBlastConfig {
+    /// The paper's pioBLAST on `sim`: builds the cluster environment and
+    /// stages `db`'s global files and `queries` on the shared file system,
+    /// with modeled compute, the `blastp`/`blastn` defaults for the
+    /// database's molecule, default report limits, output at
+    /// `results.txt`, collective output, natural partitioning, the static
+    /// schedule, no fault tolerance, one compute slot per worker, the
+    /// default I/O plane, and every §5 switch off. Override any other
+    /// field with struct-update syntax.
+    pub fn staged(
+        sim: &Sim,
+        platform: &Platform,
+        db: &FormattedDb,
+        queries: &[SeqRecord],
+    ) -> PioBlastConfig {
+        let env = ClusterEnv::new(sim, platform);
+        let db_alias = stage_shared_db(&env.shared, db);
+        let query_path = stage_queries(&env.shared, queries);
+        PioBlastConfig {
+            platform: platform.clone(),
+            env,
+            compute: ComputeModel::modeled(),
+            params: match db.alias.molecule {
+                Molecule::Protein => SearchParams::blastp(),
+                Molecule::Dna => SearchParams::blastn(),
+            },
+            report: ReportOptions::default(),
+            db_alias,
+            query_path,
+            output_path: "results.txt".to_string(),
+            num_fragments: None,
+            collective_output: true,
+            local_prune: false,
+            query_batch: None,
+            collective_input: false,
+            schedule: FragmentSchedule::Static,
+            fault: FaultMode::Off,
+            checkpoint: false,
+            rank_compute: None,
+            threads: 1,
+            io: mpiio::IoOptions::default(),
+            service: None,
+        }
+    }
+
     /// The compute model for one rank, with any heterogeneity applied.
     pub(crate) fn compute_for(&self, rank: usize) -> ComputeModel {
         match &self.rank_compute {
@@ -210,17 +257,15 @@ pub fn run_rank(ctx: &RankCtx, cfg: &PioBlastConfig) -> Result<RankReport, PioEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blast_core::search::SearchParams;
     use std::sync::Arc;
 
     use mpiblast::model::PrepareMemo;
     use mpiblast::phases;
     use mpiblast::report::serial_report;
-    use mpiblast::setup::{stage_queries, stage_shared_db};
     use seqfmt::formatdb::{format_records, FormatDbConfig};
     use seqfmt::synth::{generate, SynthConfig};
     use seqfmt::FragmentData;
-    use simcluster::{Sim, SimDuration};
+    use simcluster::SimDuration;
 
     fn small_db(cap: Option<u64>) -> seqfmt::FormattedDb {
         let recs = generate(&SynthConfig::nr_like(21, 40_000));
@@ -247,86 +292,51 @@ mod tests {
             .collect()
     }
 
-    struct Opts {
+    /// What a test run is made of besides its configuration.
+    struct Inputs {
         nranks: usize,
-        nfrags: Option<usize>,
         platform: Platform,
+        /// Volume residue cap of the test database.
         cap: Option<u64>,
-        collective_output: bool,
-        local_prune: bool,
-        query_batch: Option<usize>,
         n_queries: usize,
-        collective_input: bool,
-        schedule: FragmentSchedule,
-        fault: FaultMode,
-        rank_compute: Option<Vec<f64>>,
-        threads: usize,
-        io: mpiio::IoOptions,
     }
 
-    impl Default for Opts {
-        fn default() -> Opts {
-            Opts {
+    impl Default for Inputs {
+        fn default() -> Inputs {
+            Inputs {
                 nranks: 4,
-                nfrags: None,
                 platform: Platform::altix(),
                 cap: None,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
                 n_queries: 3,
-                collective_input: false,
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Off,
-                rank_compute: None,
-                threads: 1,
-                io: mpiio::IoOptions::default(),
             }
         }
     }
 
-    /// A simulation and a modeled-compute configuration for `opts`, with
-    /// the database and queries staged on the shared file system.
-    fn setup(opts: &Opts) -> (Sim, PioBlastConfig) {
-        let db = small_db(opts.cap);
-        let queries = sample_queries(&db, opts.n_queries);
-        let sim = Sim::new(opts.nranks);
-        let env = ClusterEnv::new(&sim, &opts.platform);
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = PioBlastConfig {
-            platform: opts.platform.clone(),
-            env,
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".to_string(),
-            num_fragments: opts.nfrags,
-            collective_output: opts.collective_output,
-            local_prune: opts.local_prune,
-            query_batch: opts.query_batch,
-            collective_input: opts.collective_input,
-            schedule: opts.schedule,
-            fault: opts.fault,
-            checkpoint: false,
-            rank_compute: opts.rank_compute.clone(),
-            threads: opts.threads,
-            io: opts.io,
-            service: None,
-        };
+    /// A simulation and the staged default configuration for `inputs`.
+    fn setup(inputs: &Inputs) -> (Sim, PioBlastConfig) {
+        let db = small_db(inputs.cap);
+        let queries = sample_queries(&db, inputs.n_queries);
+        let sim = Sim::new(inputs.nranks);
+        let cfg = PioBlastConfig::staged(&sim, &inputs.platform, &db, &queries);
         (sim, cfg)
     }
 
-    fn run_opts(opts: Opts) -> (Vec<u8>, Vec<RankReport>) {
-        let (output, reports, _) = run_opts_memo(opts);
+    /// Run `inputs` with `tweak` applied to the staged configuration.
+    fn run_with(
+        inputs: Inputs,
+        tweak: impl FnOnce(&mut PioBlastConfig),
+    ) -> (Vec<u8>, Vec<RankReport>) {
+        let (output, reports, _) = run_memo(inputs, tweak);
         (output, reports)
     }
 
-    /// [`run_opts`], plus the run's shared prepare memo.
-    fn run_opts_memo(opts: Opts) -> (Vec<u8>, Vec<RankReport>, Arc<PrepareMemo>) {
-        let (sim, cfg) = setup(&opts);
+    /// [`run_with`], plus the run's shared prepare memo.
+    fn run_memo(
+        inputs: Inputs,
+        tweak: impl FnOnce(&mut PioBlastConfig),
+    ) -> (Vec<u8>, Vec<RankReport>, Arc<PrepareMemo>) {
+        let (sim, mut cfg) = setup(&inputs);
+        tweak(&mut cfg);
         let outcome = sim.run(|ctx| (run_rank(&ctx, &cfg), ctx.shared::<PrepareMemo>()));
         let output = cfg.env.shared.peek("results.txt").unwrap_or_default();
         let memo = Arc::clone(&outcome.outputs[0].1);
@@ -338,19 +348,24 @@ mod tests {
         (output, reports, memo)
     }
 
+    /// The default configuration on four ranks.
+    fn run_default() -> (Vec<u8>, Vec<RankReport>) {
+        run_with(Inputs::default(), |_| {})
+    }
+
     fn run_once(
         nranks: usize,
         nfrags: Option<usize>,
         platform: Platform,
         cap: Option<u64>,
     ) -> (Vec<u8>, Vec<RankReport>) {
-        run_opts(Opts {
+        let inputs = Inputs {
             nranks,
-            nfrags,
             platform,
             cap,
-            ..Opts::default()
-        })
+            ..Inputs::default()
+        };
+        run_with(inputs, |c| c.num_fragments = nfrags)
     }
 
     #[test]
@@ -409,25 +424,19 @@ mod tests {
 
     #[test]
     fn independent_output_mode_is_byte_identical() {
-        let (a, _) = run_opts(Opts::default());
-        let (b, _) = run_opts(Opts {
-            collective_output: false,
-            ..Opts::default()
-        });
+        let (a, _) = run_default();
+        let (b, _) = run_with(Inputs::default(), |c| c.collective_output = false);
         assert_eq!(a, b, "ablation must only change timing, not bytes");
     }
 
     #[test]
     fn local_prune_is_byte_identical() {
-        let (a, _) = run_opts(Opts {
+        let five = || Inputs {
             nranks: 5,
-            ..Opts::default()
-        });
-        let (b, _) = run_opts(Opts {
-            nranks: 5,
-            local_prune: true,
-            ..Opts::default()
-        });
+            ..Inputs::default()
+        };
+        let (a, _) = run_with(five(), |_| {});
+        let (b, _) = run_with(five(), |c| c.local_prune = true);
         assert_eq!(a, b, "local pruning must never change the output");
     }
 
@@ -442,16 +451,13 @@ mod tests {
     #[test]
     fn query_batching_is_byte_identical() {
         // Paper §5: batching bounds memory; it must not change the report.
-        let (reference, _) = run_opts(Opts {
+        let five = || Inputs {
             n_queries: 5,
-            ..Opts::default()
-        });
+            ..Inputs::default()
+        };
+        let (reference, _) = run_with(five(), |_| {});
         for batch in [1usize, 2, 3, 5, 100] {
-            let (batched, _) = run_opts(Opts {
-                n_queries: 5,
-                query_batch: Some(batch),
-                ..Opts::default()
-            });
+            let (batched, _) = run_with(five(), |c| c.query_batch = Some(batch));
             assert_eq!(batched, reference, "batch size {batch}");
         }
     }
@@ -466,12 +472,12 @@ mod tests {
             ReportOptions::default(),
         )
         .expect("serial oracle");
-        let (got, _, memo) = run_opts_memo(Opts {
+        let inputs = Inputs {
             nranks: 64,
             n_queries: 5,
-            query_batch: Some(2),
-            ..Opts::default()
-        });
+            ..Inputs::default()
+        };
+        let (got, _, memo) = run_memo(inputs, |c| c.query_batch = Some(2));
         assert_eq!(got, expected);
         // Five queries in batches of two: all 64 ranks prepare three
         // distinct batches, and each is prepared for real exactly once.
@@ -480,11 +486,11 @@ mod tests {
 
     #[test]
     fn measured_prepare_hits_charge_recorded_seconds_times_rank_scale() {
-        let (sim, mut cfg) = setup(&Opts {
+        let (sim, mut cfg) = setup(&Inputs {
             nranks: 3,
-            rank_compute: Some(vec![1.0, 1.0, 2.0]),
-            ..Opts::default()
+            ..Inputs::default()
         });
+        cfg.rank_compute = Some(vec![1.0, 1.0, 2.0]);
         cfg.compute = ComputeModel::measured();
         let db = small_db(None);
         let queries = sample_queries(&db, 3);
@@ -505,15 +511,12 @@ mod tests {
 
     #[test]
     fn query_batching_searches_fragments_repeatedly() {
-        let (_, unbatched) = run_opts(Opts {
+        let four = || Inputs {
             n_queries: 4,
-            ..Opts::default()
-        });
-        let (_, batched) = run_opts(Opts {
-            n_queries: 4,
-            query_batch: Some(1),
-            ..Opts::default()
-        });
+            ..Inputs::default()
+        };
+        let (_, unbatched) = run_with(four(), |_| {});
+        let (_, batched) = run_with(four(), |c| c.query_batch = Some(1));
         // Four batches -> four search passes per fragment.
         let subjects =
             |rs: &[RankReport]| -> u64 { rs.iter().map(|r| r.search_stats.subjects).sum() };
@@ -525,14 +528,16 @@ mod tests {
         // Paper §4's deferred design alternative: reading the global
         // files with collective I/O must not change a single output byte,
         // for any volume layout or fragment granularity.
-        let (a, _) = run_opts(Opts::default());
+        let (a, _) = run_default();
         for cap in [None, Some(15_000)] {
             for nfrags in [None, Some(9)] {
-                let (b, _) = run_opts(Opts {
+                let inputs = Inputs {
                     cap,
-                    nfrags,
-                    collective_input: true,
-                    ..Opts::default()
+                    ..Inputs::default()
+                };
+                let (b, _) = run_with(inputs, |c| {
+                    c.num_fragments = nfrags;
+                    c.collective_input = true;
                 });
                 assert_eq!(a, b, "cap {cap:?} nfrags {nfrags:?}");
             }
@@ -541,12 +546,11 @@ mod tests {
 
     #[test]
     fn dynamic_schedule_is_byte_identical() {
-        let (a, _) = run_opts(Opts::default());
+        let (a, _) = run_default();
         for nfrags in [None, Some(9)] {
-            let (b, _) = run_opts(Opts {
-                nfrags,
-                schedule: FragmentSchedule::Dynamic,
-                ..Opts::default()
+            let (b, _) = run_with(Inputs::default(), |c| {
+                c.num_fragments = nfrags;
+                c.schedule = FragmentSchedule::Dynamic;
             });
             assert_eq!(a, b, "dynamic scheduling must not change bytes");
         }
@@ -556,42 +560,17 @@ mod tests {
     fn dynamic_schedule_balances_heterogeneous_nodes() {
         // One worker 8x slower; with 4 fragments per worker, dynamic
         // scheduling should beat static placement.
-        let hetero = Some(vec![1.0, 8.0, 1.0, 1.0, 1.0]);
-        let base = Opts {
-            nranks: 5,
-            nfrags: Some(16),
-            n_queries: 4,
-            rank_compute: hetero.clone(),
-            ..Opts::default()
-        };
         let run_total = |schedule: FragmentSchedule| -> u64 {
-            let db = small_db(base.cap);
-            let queries = sample_queries(&db, base.n_queries);
-            let sim = Sim::new(base.nranks);
-            let env = ClusterEnv::new(&sim, &base.platform);
-            let db_alias = stage_shared_db(&env.shared, &db);
-            let query_path = stage_queries(&env.shared, &queries);
+            let (sim, cfg) = setup(&Inputs {
+                nranks: 5,
+                n_queries: 4,
+                ..Inputs::default()
+            });
             let cfg = PioBlastConfig {
-                platform: base.platform.clone(),
-                env: env.clone(),
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "results.txt".to_string(),
-                num_fragments: base.nfrags,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
+                num_fragments: Some(16),
                 schedule,
-                fault: FaultMode::Off,
-                checkpoint: false,
-                rank_compute: hetero.clone(),
-                threads: 1,
-                io: Default::default(),
-                service: None,
+                rank_compute: Some(vec![1.0, 8.0, 1.0, 1.0, 1.0]),
+                ..cfg
             };
             sim.run(|ctx| run_rank(&ctx, &cfg)).elapsed.0
         };
@@ -605,10 +584,11 @@ mod tests {
 
     #[test]
     fn empty_query_set_still_runs() {
-        let (output, _) = run_opts(Opts {
+        let inputs = Inputs {
             n_queries: 0,
-            ..Opts::default()
-        });
+            ..Inputs::default()
+        };
+        let (output, _) = run_with(inputs, |_| {});
         assert!(output.is_empty(), "no queries -> empty report file");
     }
 
@@ -628,7 +608,7 @@ mod tests {
         // rejections: collective input now composes with the dynamic
         // schedule and with both fault modes (the plane sieves the
         // granted views instead of synchronizing), byte-identically.
-        let (reference, _) = run_opts(Opts::default());
+        let (reference, _) = run_default();
         let combos = [
             (FragmentSchedule::Dynamic, FaultMode::Off),
             (FragmentSchedule::Static, FaultMode::Detect),
@@ -636,11 +616,10 @@ mod tests {
             (FragmentSchedule::Dynamic, FaultMode::Recover),
         ];
         for (schedule, fault) in combos {
-            let (got, _) = run_opts(Opts {
-                collective_input: true,
-                schedule,
-                fault,
-                ..Opts::default()
+            let (got, _) = run_with(Inputs::default(), |c| {
+                c.collective_input = true;
+                c.schedule = schedule;
+                c.fault = fault;
             });
             assert_eq!(got, reference, "schedule {schedule:?} fault {fault:?}");
         }
@@ -651,21 +630,20 @@ mod tests {
         // `--io-strategy` is a pure performance knob; pin that every
         // strategy produces the reference bytes with aggregation
         // requested on both paths, across two sieve thresholds.
-        let (reference, _) = run_opts(Opts::default());
+        let (reference, _) = run_default();
         for strategy in [
             mpiio::IoStrategy::Independent,
             mpiio::IoStrategy::Sieve,
             mpiio::IoStrategy::TwoPhase,
         ] {
             for sieve_threshold in [0u64, 1 << 20] {
-                let (got, _) = run_opts(Opts {
-                    collective_input: true,
-                    io: mpiio::IoOptions {
+                let (got, _) = run_with(Inputs::default(), |c| {
+                    c.collective_input = true;
+                    c.io = mpiio::IoOptions {
                         strategy,
                         sieve_threshold,
                         ..Default::default()
-                    },
-                    ..Opts::default()
+                    };
                 });
                 assert_eq!(got, reference, "{strategy} threshold {sieve_threshold}");
             }
@@ -677,75 +655,30 @@ mod tests {
         // Satellite: conflicting knob combinations must surface as
         // `PioError::UnsupportedConfig` on every rank, not as a panic or
         // a hang. Pin the exact conflicts the runtime rejects.
-        let cases: &[(Opts, &str)] = &[(
-            Opts {
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Recover,
-                ..Opts::default()
-            },
-            "fault recovery requires the dynamic schedule",
-        )];
-        for (opts, want) in cases {
-            let db = small_db(opts.cap);
-            let queries = sample_queries(&db, opts.n_queries);
-            let sim = Sim::new(opts.nranks);
-            let env = ClusterEnv::new(&sim, &opts.platform);
-            let db_alias = stage_shared_db(&env.shared, &db);
-            let query_path = stage_queries(&env.shared, &queries);
-            let cfg = PioBlastConfig {
-                platform: opts.platform.clone(),
-                env: env.clone(),
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "results.txt".to_string(),
-                num_fragments: opts.nfrags,
-                collective_output: opts.collective_output,
-                local_prune: opts.local_prune,
-                query_batch: opts.query_batch,
-                collective_input: opts.collective_input,
-                schedule: opts.schedule,
-                fault: opts.fault,
-                checkpoint: false,
-                rank_compute: opts.rank_compute.clone(),
-                threads: opts.threads,
-                io: opts.io,
-                service: None,
-            };
-            let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
-            for r in outcome.outputs {
-                assert_eq!(
-                    r.expect_err("conflicting config must fail"),
-                    PioError::UnsupportedConfig(want.to_string())
-                );
-            }
+        let (sim, cfg) = setup(&Inputs::default());
+        let cfg = PioBlastConfig {
+            schedule: FragmentSchedule::Static,
+            fault: FaultMode::Recover,
+            ..cfg
+        };
+        let want = "fault recovery requires the dynamic schedule";
+        let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
+        for r in outcome.outputs {
+            assert_eq!(
+                r.expect_err("conflicting config must fail"),
+                PioError::UnsupportedConfig(want.to_string())
+            );
         }
         // Checkpointing without recovery is rejected by validate() alone.
-        let sim = Sim::new(2);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
+        let (_, cfg) = setup(&Inputs {
+            nranks: 2,
+            ..Inputs::default()
+        });
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env,
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias: "db.pal".into(),
-            query_path: "queries.fa".into(),
-            output_path: "results.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
             schedule: FragmentSchedule::Dynamic,
             fault: FaultMode::Detect,
             checkpoint: true,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..cfg
         };
         assert_eq!(
             cfg.validate().expect_err("checkpoint needs Recover"),
@@ -760,30 +693,12 @@ mod tests {
         // Satellite: `--threads 0` and thread counts beyond the
         // platform's cores are typed errors, not panics or silent clamps.
         let mk = |platform: Platform, threads: usize| {
-            let sim = Sim::new(2);
-            let env = ClusterEnv::new(&sim, &platform);
-            PioBlastConfig {
+            let (_, cfg) = setup(&Inputs {
+                nranks: 2,
                 platform,
-                env,
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias: "db.pal".into(),
-                query_path: "queries.fa".into(),
-                output_path: "results.txt".into(),
-                num_fragments: None,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Off,
-                checkpoint: false,
-                rank_compute: None,
-                threads,
-                io: Default::default(),
-                service: None,
-            }
+                ..Inputs::default()
+            });
+            PioBlastConfig { threads, ..cfg }
         };
         assert_eq!(
             mk(Platform::altix(), 0).validate().expect_err("zero slots"),

@@ -100,11 +100,9 @@ impl std::error::Error for PioError {}
 mod tests {
     use super::*;
     use crate::app::{run_rank, FragmentSchedule, PioBlastConfig};
-    use blast_core::search::SearchParams;
     use blast_core::seq::SeqRecord;
-    use mpiblast::platform::{ClusterEnv, Platform};
-    use mpiblast::setup::{stage_queries, stage_shared_db};
-    use mpiblast::{ComputeModel, ModelParams, RankReport, ReportOptions};
+    use mpiblast::platform::Platform;
+    use mpiblast::{ModelParams, RankReport};
     use seqfmt::formatdb::{format_records, FormatDbConfig};
     use seqfmt::synth::{generate, SynthConfig};
     use simcluster::{FaultPlan, Sim, SimDuration, SimTime};
@@ -168,33 +166,16 @@ mod tests {
         if let Some(t) = tracer {
             sim.set_tracer(t.clone());
         }
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
             num_fragments: Some(nfrags),
             collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
             schedule,
             fault,
             checkpoint,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
         };
         let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
-        let bytes = env.shared.peek("results.txt").unwrap_or_default();
+        let bytes = cfg.env.shared.peek("results.txt").unwrap_or_default();
         (bytes, out.outputs, out.killed)
     }
 
@@ -399,33 +380,16 @@ mod tests {
         let db = small_db();
         let queries = sample_queries(&db, 3);
         let sim = Sim::new(4);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
             num_fragments: Some(6),
             collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
             schedule: FragmentSchedule::Dynamic,
             fault: FaultMode::Recover,
             checkpoint: true,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
         };
         sim.run(|ctx| run_rank(&ctx, &cfg));
-        let leftovers: Vec<String> = env.shared.peek_list("results.txt.ckpt.");
+        let leftovers: Vec<String> = cfg.env.shared.peek_list("results.txt.ckpt.");
         assert!(
             leftovers.is_empty(),
             "stale checkpoint blobs: {leftovers:?}"

@@ -21,18 +21,20 @@ use std::fmt;
 
 use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
-use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
+use blast_core::search::{BlastSearcher, SearchParams, SearchScratch, SearchStats, SubjectHit};
+use blast_core::{Molecule, SeqRecord};
 use bytes::Bytes;
 use mpiio::{FileView, IoOptions, IoPlane, IoStrategy, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
-use seqfmt::{FragmentData, VolumeIndex};
-use simcluster::{PhaseTimes, RankCtx};
+use seqfmt::{FormattedDb, FragmentData, VolumeIndex};
+use simcluster::{PhaseTimes, RankCtx, Sim};
 
 use crate::model::ComputeModel;
 use crate::phases;
 use crate::platform::{ClusterEnv, Platform};
 use crate::report::{build_layout, ReportOptions};
+use crate::setup::{stage_fragments, stage_queries};
 use crate::wire::{FetchRequest, FetchResponse, QueryBundle, ResultSubmission};
 
 /// Rank 0 is always the master.
@@ -107,7 +109,7 @@ pub struct MpiBlastConfig {
     /// Compute-cost mode.
     pub compute: ComputeModel,
     /// BLAST search parameters.
-    pub params: blast_core::search::SearchParams,
+    pub params: SearchParams,
     /// Report-size limits.
     pub report: ReportOptions,
     /// Pre-partitioned fragment base names on the shared file system.
@@ -121,6 +123,40 @@ pub struct MpiBlastConfig {
     /// scheduling and output epochs; it does not change fault-free timing
     /// or output bytes.
     pub fault_detection: bool,
+}
+
+impl MpiBlastConfig {
+    /// The stock mpiBLAST run on `sim`: builds the cluster environment,
+    /// pre-partitions `db` into `nfrags` physical fragments and stages
+    /// `queries` on the shared file system, with modeled compute, the
+    /// `blastp`/`blastn` defaults for the database's molecule, default
+    /// report limits, output at `results.txt` and fault detection off.
+    /// Override any other field with struct-update syntax.
+    pub fn staged(
+        sim: &Sim,
+        platform: &Platform,
+        db: &FormattedDb,
+        queries: &[SeqRecord],
+        nfrags: usize,
+    ) -> MpiBlastConfig {
+        let env = ClusterEnv::new(sim, platform);
+        let fragment_names = stage_fragments(&env.shared, db, nfrags);
+        let query_path = stage_queries(&env.shared, queries);
+        MpiBlastConfig {
+            platform: platform.clone(),
+            env,
+            compute: ComputeModel::modeled(),
+            params: match db.alias.molecule {
+                Molecule::Protein => SearchParams::blastp(),
+                Molecule::Dna => SearchParams::blastn(),
+            },
+            report: ReportOptions::default(),
+            fragment_names,
+            query_path,
+            output_path: "results.txt".to_string(),
+            fault_detection: false,
+        }
+    }
 }
 
 /// What each rank reports at the end of a run.
@@ -518,13 +554,9 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{serial_report, ReportOptions};
-    use crate::setup::{stage_fragments, stage_queries};
-    use blast_core::search::SearchParams;
-    use blast_core::seq::SeqRecord;
+    use crate::report::serial_report;
     use seqfmt::formatdb::{format_records, FormatDbConfig};
     use seqfmt::synth::{generate, SynthConfig};
-    use simcluster::Sim;
 
     fn small_db() -> seqfmt::FormattedDb {
         let recs = generate(&SynthConfig::nr_like(21, 40_000));
@@ -550,22 +582,9 @@ mod tests {
         let db = small_db();
         let queries = sample_queries(&db, 3);
         let sim = Sim::new(nranks);
-        let env = ClusterEnv::new(&sim, &platform);
-        let fragment_names = stage_fragments(&env.shared, &db, nfrags);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = MpiBlastConfig {
-            platform,
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            fragment_names,
-            query_path,
-            output_path: "results.txt".to_string(),
-            fault_detection: false,
-        };
+        let cfg = MpiBlastConfig::staged(&sim, &platform, &db, &queries, nfrags);
         let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
-        let output = env.shared.peek("results.txt").expect("output written");
+        let output = cfg.env.shared.peek("results.txt").expect("output written");
         let reports = outcome
             .outputs
             .into_iter()
@@ -628,26 +647,15 @@ mod tests {
         }
     }
 
-    fn faulty_cfg(nranks: usize, nfrags: usize) -> (simcluster::Sim, ClusterEnv, MpiBlastConfig) {
+    fn faulty_cfg(nranks: usize, nfrags: usize) -> (Sim, MpiBlastConfig) {
         let db = small_db();
         let queries = sample_queries(&db, 3);
-        let sim = simcluster::Sim::new(nranks);
-        let platform = Platform::altix();
-        let env = ClusterEnv::new(&sim, &platform);
-        let fragment_names = stage_fragments(&env.shared, &db, nfrags);
-        let query_path = stage_queries(&env.shared, &queries);
+        let sim = Sim::new(nranks);
         let cfg = MpiBlastConfig {
-            platform,
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            fragment_names,
-            query_path,
-            output_path: "results.txt".to_string(),
             fault_detection: true,
+            ..MpiBlastConfig::staged(&sim, &Platform::altix(), &db, &queries, nfrags)
         };
-        (sim, env, cfg)
+        (sim, cfg)
     }
 
     #[test]
@@ -655,7 +663,7 @@ mod tests {
         // Kill worker 2 after a few sends (past the startup broadcast,
         // mid-scheduling). The master must detect it and abort the job
         // with typed errors on every surviving rank — no hang, no panic.
-        let (sim, _env, cfg) = faulty_cfg(4, 6);
+        let (sim, cfg) = faulty_cfg(4, 6);
         let plan = simcluster::FaultPlan::none().kill_after_sends(2, 3);
         let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
         assert_eq!(out.killed, vec![2]);
@@ -677,7 +685,7 @@ mod tests {
     fn master_death_is_detected_by_workers() {
         // Kill the master after it has broadcast and granted fragments;
         // workers fail fast with MasterDied instead of waiting forever.
-        let (sim, _env, cfg) = faulty_cfg(3, 4);
+        let (sim, cfg) = faulty_cfg(3, 4);
         let plan = simcluster::FaultPlan::none().kill_after_sends(0, 4);
         let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
         assert_eq!(out.killed, vec![0]);
@@ -690,10 +698,13 @@ mod tests {
     #[test]
     fn fault_detection_does_not_change_output_or_timing() {
         let run = |detect: bool| {
-            let (sim, env, mut cfg) = faulty_cfg(4, 3);
+            let (sim, mut cfg) = faulty_cfg(4, 3);
             cfg.fault_detection = detect;
             let out = sim.run(|ctx| run_rank(&ctx, &cfg));
-            (env.shared.peek("results.txt").expect("output"), out.elapsed)
+            (
+                cfg.env.shared.peek("results.txt").expect("output"),
+                out.elapsed,
+            )
         };
         let (bytes_off, elapsed_off) = run(false);
         let (bytes_on, elapsed_on) = run(true);

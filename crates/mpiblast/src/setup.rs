@@ -12,17 +12,6 @@ use blast_core::seq::SeqRecord;
 use parafs::SimFs;
 use seqfmt::{physical_fragments, FormattedDb};
 
-/// Paths used by a staged run.
-#[derive(Debug, Clone)]
-pub struct StagedPaths {
-    /// Alias-file path of the shared formatted database (pioBLAST input).
-    pub db_alias: String,
-    /// Fragment base names (mpiBLAST input); empty if not staged.
-    pub fragments: Vec<String>,
-    /// Query FASTA path.
-    pub queries: String,
-}
-
 /// Place a formatted database's global files under `db/` on the shared
 /// file system (pioBLAST's input).
 pub fn stage_shared_db(fs: &SimFs, db: &FormattedDb) -> String {

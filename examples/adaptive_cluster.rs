@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example adaptive_cluster`
 
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::Platform;
 use pioblast::{FragmentSchedule, PioBlastConfig};
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -67,33 +65,15 @@ fn main() {
     let mut reference: Option<Vec<u8>> = None;
     for spec in specs {
         let sim = Sim::new(nprocs);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "out.txt".into(),
             num_fragments: spec.num_fragments,
-            collective_output: true,
-            local_prune: false,
             query_batch: spec.query_batch,
-            collective_input: false,
             schedule: spec.schedule,
-            fault: Default::default(),
-            checkpoint: false,
             rank_compute: Some(scales.clone()),
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
         };
         let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-        let report = env.shared.peek("out.txt").unwrap();
+        let report = cfg.env.shared.peek(&cfg.output_path).unwrap();
         match &reference {
             None => reference = Some(report),
             Some(r) => assert_eq!(r, &report, "all configurations must agree byte-for-byte"),

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example custom_platform`
 
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform, ReportOptions};
+use mpiblast::{MpiBlastConfig, Platform};
 use mpisim::NetProfile;
 use parafs::FsProfile;
 use pioblast::PioBlastConfig;
@@ -64,46 +62,11 @@ fn main() {
         println!("== {} ==", platform.name);
         for program in ["mpiBLAST", "pioBLAST"] {
             let sim = Sim::new(16);
-            let env = ClusterEnv::new(&sim, &platform);
-            let query_path = stage_queries(&env.shared, &queries);
             let elapsed = if program == "mpiBLAST" {
-                let fragment_names = stage_fragments(&env.shared, &db, 15);
-                let cfg = MpiBlastConfig {
-                    platform: platform.clone(),
-                    env: env.clone(),
-                    compute: ComputeModel::modeled(),
-                    params: SearchParams::blastp(),
-                    report: ReportOptions::default(),
-                    fragment_names,
-                    query_path,
-                    output_path: "out.txt".into(),
-                    fault_detection: false,
-                };
+                let cfg = MpiBlastConfig::staged(&sim, &platform, &db, &queries, 15);
                 sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg)).elapsed
             } else {
-                let db_alias = stage_shared_db(&env.shared, &db);
-                let cfg = PioBlastConfig {
-                    platform: platform.clone(),
-                    env: env.clone(),
-                    compute: ComputeModel::modeled(),
-                    params: SearchParams::blastp(),
-                    report: ReportOptions::default(),
-                    db_alias,
-                    query_path,
-                    output_path: "out.txt".into(),
-                    num_fragments: None,
-                    collective_output: true,
-                    local_prune: false,
-                    query_batch: None,
-                    collective_input: false,
-                    schedule: Default::default(),
-                    fault: Default::default(),
-                    checkpoint: false,
-                    rank_compute: None,
-                    threads: 1,
-                    io: Default::default(),
-                    service: None,
-                };
+                let cfg = PioBlastConfig::staged(&sim, &platform, &db, &queries);
                 sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).elapsed
             };
             println!("  {program:<9} total {:.3}s", elapsed.as_secs_f64());

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example parallel_search`
 
-use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::{phases, ComputeModel, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -27,31 +25,9 @@ fn main() {
 
     // A 16-rank simulated Altix (1 master + 15 workers).
     let sim = Sim::new(16);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
         compute: ComputeModel::measured(), // charge real kernel time
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".to_string(),
-        num_fragments: None, // natural partitioning: one fragment per worker
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
 
@@ -72,7 +48,11 @@ fn main() {
         );
     }
 
-    let output = env.shared.peek("results.txt").expect("report written");
+    let output = cfg
+        .env
+        .shared
+        .peek(&cfg.output_path)
+        .expect("report written");
     let text = String::from_utf8_lossy(&output);
     println!(
         "\nreport: {} bytes, {} query sections; first lines:",

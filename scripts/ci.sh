@@ -7,7 +7,10 @@ cargo fmt --check
 # --workspace: the root facade package does not depend on pioblast-cli,
 # and the observability gate below runs the release binary.
 cargo build --release --workspace
-cargo test -q
+# --workspace: a bare `cargo test` selects only the root facade package,
+# which builds the integration tests but never runs the crates' own unit
+# and doc tests.
+cargo test --workspace -q
 # The fault-recovery proptests run under the vendored proptest's
 # deterministic per-test RNG (TestRng::from_name), so this is a fixed
 # seed: failures reproduce exactly, in CI and locally.
@@ -40,7 +43,9 @@ cargo test --release -q --test burst
 # Bench targets (paper exhibits + kernel perf gate, ablate_hybrid
 # included via --workspace) must at least compile.
 cargo bench --workspace --no-run
-cargo clippy -- -D warnings
+# Lint every crate and every target (tests, benches, examples), not just
+# the facade's library.
+cargo clippy --workspace --all-targets -- -D warnings
 # The I/O plane is a public API layer: its docs must build clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
@@ -133,13 +138,17 @@ cmp "$tracetmp/report-128b2.txt" "$tracetmp/report-16b2.txt"
   --out "$tracetmp/report-burst.txt" --trace "$tracetmp/trace-burst.json"
 "$cli" trace-check --in "$tracetmp/trace-burst.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
-# The CLI rejects options it does not know: a removed flag and a typo
-# must both exit nonzero instead of running with defaults.
-for bad in "--stripe-files 4" "--recovr"; do
-  if "$cli" run --program pio --procs 4 --burst-buffer $bad \
+# The CLI rejects options it does not know (a removed flag, a typo) and
+# numbers it would otherwise mangle (a --users past u32, zero fragments):
+# each must exit nonzero instead of running with something else.
+for bad in "run --program pio --burst-buffer --stripe-files 4" \
+  "run --program pio --burst-buffer --recovr" \
+  "run --program pio --frags 0" \
+  "serve --users 4294967297"; do
+  if "$cli" $bad --procs 4 \
     --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
     --out "$tracetmp/report-bad.txt" 2>/dev/null; then
-    echo "run accepted unknown option $bad" >&2
+    echo "accepted bad input: $bad" >&2
     exit 1
   fi
 done

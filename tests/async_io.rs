@@ -15,36 +15,13 @@
 
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::Platform;
 use pioblast::{FaultMode, FragmentSchedule, InputError, PioBlastConfig, PioError};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{FaultPlan, Sim};
 
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(21, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-async"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 #[derive(Clone)]
 struct Opts {
@@ -86,24 +63,12 @@ impl Default for Opts {
 }
 
 fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
+    let db = small_db(21, 40_000, "nr-async");
+    let queries = sample_queries(&db, 3, 13);
     let sim = Sim::new(opts.nranks);
-    let env = ClusterEnv::new(&sim, &opts.platform);
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: opts.platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(opts.nfrags),
         collective_output: opts.collective_output,
-        local_prune: false,
         query_batch: opts.query_batch,
         collective_input: opts.collective_input,
         schedule: opts.schedule,
@@ -116,10 +81,10 @@ fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
             io_async: opts.io_async,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, &opts.platform, &db, &queries)
     };
     let out = sim.run_faulty(opts.plan.clone(), |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
+    let bytes = cfg.env.shared.peek("results.txt").unwrap_or_default();
     (bytes, out.killed)
 }
 
@@ -235,39 +200,19 @@ fn run_corrupted(
     fault: FaultMode,
     corrupt: impl Fn(&parafs::SimFs, &mut String),
 ) -> Vec<Result<mpiblast::RankReport, PioError>> {
-    let db = small_db();
-    let queries = sample_queries(&db, 2);
+    let db = small_db(21, 40_000, "nr-async");
+    let queries = sample_queries(&db, 2, 13);
     let sim = Sim::new(3);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let mut db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    corrupt(&env.shared, &mut db_alias);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
+    let mut cfg = PioBlastConfig {
         schedule: if fault == FaultMode::Recover {
             FragmentSchedule::Dynamic
         } else {
             FragmentSchedule::Static
         },
         fault,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
+    corrupt(&cfg.env.shared, &mut cfg.db_alias);
     sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).outputs
 }
 
@@ -312,7 +257,7 @@ fn malformed_query_fasta_degrades_without_abort() {
 
 #[test]
 fn malformed_volume_index_degrades_without_abort() {
-    let db = small_db();
+    let db = small_db(21, 40_000, "nr-async");
     let vol = db.volumes[0].name.clone();
     for fault in [FaultMode::Off, FaultMode::Detect] {
         let outputs = run_corrupted(fault, |fs, _| {
@@ -325,40 +270,19 @@ fn malformed_volume_index_degrades_without_abort() {
 #[test]
 fn full_file_system_degrades_output_to_typed_errors() {
     for io_async in [false, true] {
-        let db = small_db();
-        let queries = sample_queries(&db, 2);
+        let db = small_db(21, 40_000, "nr-async");
+        let queries = sample_queries(&db, 2, 13);
         let sim = Sim::new(3);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        // Nothing written past this point fits: every report write
-        // must surface `StoreError::NoSpace` as `PioError::Output`.
-        env.shared.set_capacity(0);
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: FragmentSchedule::Static,
-            fault: FaultMode::Off,
-            checkpoint: false,
-            rank_compute: None,
-            threads: 1,
             io: mpiio::IoOptions {
                 io_async,
                 ..Default::default()
             },
-            service: None,
+            ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
         };
+        // Nothing written past this point fits: every report write
+        // must surface `StoreError::NoSpace` as `PioError::Output`.
+        cfg.env.shared.set_capacity(0);
         let outputs = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).outputs;
         let writers = outputs
             .iter()

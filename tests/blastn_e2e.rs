@@ -6,8 +6,7 @@
 use blast_core::search::SearchParams;
 use blast_core::Molecule;
 use mpiblast::report::{serial_report, ReportOptions};
-use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
+use mpiblast::{MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -38,33 +37,9 @@ fn blastn_all_three_implementations_agree() {
 
     // pioBLAST.
     let sim = Sim::new(4);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let pio_cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastn(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "pio.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
-    };
+    let pio_cfg = PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries);
     sim.run(|ctx| pioblast::run_rank(&ctx, &pio_cfg));
-    let pio = env.shared.peek("pio.txt").unwrap();
+    let pio = pio_cfg.env.shared.peek(&pio_cfg.output_path).unwrap();
     assert_eq!(
         String::from_utf8_lossy(&pio),
         String::from_utf8_lossy(&oracle)
@@ -72,22 +47,9 @@ fn blastn_all_three_implementations_agree() {
 
     // mpiBLAST.
     let sim = Sim::new(4);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let fragment_names = stage_fragments(&env.shared, &db, 3);
-    let query_path = stage_queries(&env.shared, &queries);
-    let mpi_cfg = MpiBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastn(),
-        report: ReportOptions::default(),
-        fragment_names,
-        query_path,
-        output_path: "mpi.txt".into(),
-        fault_detection: false,
-    };
+    let mpi_cfg = MpiBlastConfig::staged(&sim, &Platform::altix(), &db, &queries, 3);
     sim.run(|ctx| mpiblast::run_rank(&ctx, &mpi_cfg));
-    let mpi = env.shared.peek("mpi.txt").unwrap();
+    let mpi = mpi_cfg.env.shared.peek(&mpi_cfg.output_path).unwrap();
     assert_eq!(mpi, oracle);
 }
 

@@ -14,36 +14,13 @@
 
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::Platform;
 use pioblast::{BurstOptions, FaultMode, FragmentSchedule, PioBlastConfig};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{FaultPlan, Sim};
 
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(21, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-burst"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 #[derive(Clone)]
 struct Opts {
@@ -81,40 +58,26 @@ impl Default for Opts {
 }
 
 fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
+    let db = small_db(21, 40_000, "nr-burst");
+    let queries = sample_queries(&db, 3, 13);
     let sim = Sim::new(opts.nranks);
-    let env = ClusterEnv::new(&sim, &opts.platform);
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: opts.platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(opts.nfrags),
         collective_output: opts.collective_output,
-        local_prune: false,
         query_batch: opts.query_batch,
-        collective_input: false,
         schedule: opts.schedule,
         fault: opts.fault,
         checkpoint: opts.checkpoint,
-        rank_compute: None,
         threads: opts.threads,
         io: mpiio::IoOptions {
             io_async: opts.io_async,
             burst: opts.burst,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, &opts.platform, &db, &queries)
     };
     let out = sim.run_faulty(opts.plan.clone(), |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
+    let bytes = cfg.env.shared.peek("results.txt").unwrap_or_default();
     (bytes, out.killed)
 }
 

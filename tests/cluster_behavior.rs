@@ -2,11 +2,8 @@
 //! accounting, file-system traffic, determinism, and the paper's headline
 //! performance orderings at test scale.
 
-use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
-use mpiblast::report::ReportOptions;
-use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
+use mpiblast::{phases, ComputeModel, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -29,52 +26,15 @@ fn pioblast_moves_less_shared_fs_data_than_mpiblast() {
     // mpiBLAST on the Altix profile: fragments are copied to shared
     // scratch and read back — three traversals of the database.
     let sim = Sim::new(nprocs);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let fragment_names = stage_fragments(&env.shared, &db, nprocs - 1);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = MpiBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        fragment_names,
-        query_path,
-        output_path: "out.txt".into(),
-        fault_detection: false,
-    };
+    let cfg = MpiBlastConfig::staged(&sim, &Platform::altix(), &db, &queries, nprocs - 1);
     sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-    let mpi_counters = env.shared.counters();
+    let mpi_counters = cfg.env.shared.counters();
 
     // pioBLAST: one ranged traversal.
     let sim = Sim::new(nprocs);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
-    };
+    let cfg = PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries);
     sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    let pio_counters = env.shared.counters();
+    let pio_counters = cfg.env.shared.counters();
 
     // On the Altix profile the scratch "local" copy lives on the shared
     // file system, so mpiBLAST traverses the database twice (copy +
@@ -94,31 +54,7 @@ fn pioblast_moves_less_shared_fs_data_than_mpiblast() {
 fn phase_totals_cover_the_run() {
     let (db, queries) = workload(5);
     let sim = Sim::new(4);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
-    };
+    let cfg = PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries);
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     let total = outcome.elapsed.since(simcluster::SimTime::ZERO);
     for (rank, report) in outcome.outputs.iter().enumerate() {
@@ -142,31 +78,7 @@ fn virtual_time_is_host_independent() {
         .map(|_| {
             let (db, queries) = workload(7);
             let sim = Sim::new(6);
-            let env = ClusterEnv::new(&sim, &Platform::blade_cluster());
-            let db_alias = stage_shared_db(&env.shared, &db);
-            let query_path = stage_queries(&env.shared, &queries);
-            let cfg = PioBlastConfig {
-                platform: Platform::blade_cluster(),
-                env: env.clone(),
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "out.txt".into(),
-                num_fragments: None,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
-                schedule: Default::default(),
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: None,
-                threads: 1,
-                io: Default::default(),
-                service: None,
-            };
+            let cfg = PioBlastConfig::staged(&sim, &Platform::blade_cluster(), &db, &queries);
             let out = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
             out.elapsed.0
         })
@@ -182,33 +94,12 @@ fn measured_and_modeled_modes_agree_on_results() {
     let mut outputs = Vec::new();
     for compute in [ComputeModel::modeled(), ComputeModel::measured()] {
         let sim = Sim::new(4);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
             compute,
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "out.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: Default::default(),
-            fault: Default::default(),
-            checkpoint: false,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
         };
         sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-        outputs.push(env.shared.peek("out.txt").unwrap());
+        outputs.push(cfg.env.shared.peek(&cfg.output_path).unwrap());
     }
     assert_eq!(outputs[0], outputs[1]);
 }
@@ -219,31 +110,7 @@ fn nfs_slows_everything_down() {
     let mut totals = Vec::new();
     for platform in [Platform::altix(), Platform::blade_cluster()] {
         let sim = Sim::new(4);
-        let env = ClusterEnv::new(&sim, &platform);
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = PioBlastConfig {
-            platform: platform.clone(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "out.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: Default::default(),
-            fault: Default::default(),
-            checkpoint: false,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
-        };
+        let cfg = PioBlastConfig::staged(&sim, &platform, &db, &queries);
         totals.push(sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).elapsed);
     }
     assert!(

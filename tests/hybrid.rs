@@ -13,36 +13,13 @@
 
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::Platform;
 use pioblast::{FaultMode, FragmentSchedule, IoOptions, PioBlastConfig};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{FaultPlan, Sim};
 
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(33, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-hy"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 fn run_hybrid(
     nranks: usize,
@@ -51,39 +28,23 @@ fn run_hybrid(
     io_async: bool,
     plan: FaultPlan,
 ) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
+    let db = small_db(33, 40_000, "nr-hy");
+    let queries = sample_queries(&db, 3, 13);
     let sim = Sim::new(nranks);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
         fault: FaultMode::Recover,
-        checkpoint: false,
-        rank_compute: None,
         threads,
         io: IoOptions {
             io_async,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let out = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
+    let bytes = cfg.env.shared.peek("results.txt").unwrap_or_default();
     (bytes, out.killed)
 }
 

@@ -7,37 +7,14 @@
 //! run, and pin the panic-shutdown path: a rank-body panic must drain
 //! the pool and surface a typed error, never deadlock the run.
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
+use mpiblast::Platform;
+use pioblast::{FragmentSchedule, PioBlastConfig};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{default_pool_threads, FaultPlan, Sim, SimDuration, SimError};
 use tracelog::{chrome, Tracer};
 
-fn small_db(seed: u64) -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(seed, 30_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-pool"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 17) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 /// One full pioBLAST run at an explicit pool width; returns the report
 /// bytes, the Chrome trace export, the virtual wall clock, and the
@@ -48,41 +25,22 @@ fn run_at_pool(
     nfrags: usize,
     db_seed: u64,
 ) -> (Vec<u8>, String, u64, simcluster::engine::EngineStats) {
-    let db = small_db(db_seed);
-    let queries = sample_queries(&db, 2);
+    let db = small_db(db_seed, 30_000, "nr-pool");
+    let queries = sample_queries(&db, 2, 17);
     let sim = Sim::with_pool(nranks, pool);
     let tracer = Tracer::new(nranks);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
         threads: 2,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let out = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &out.outputs {
         r.as_ref().expect("rank failed");
     }
-    let report = env.shared.peek("results.txt").expect("report exists");
+    let report = cfg.env.shared.peek("results.txt").expect("report exists");
     let wall = out.elapsed.since(simcluster::SimTime::ZERO).0;
     let trace = tracer.finish(wall);
     (
@@ -145,33 +103,13 @@ fn panic_mid_collective_surfaces_not_hangs() {
     // blocked in engine receives) must surface through run's legacy
     // panic path with the same message format as the thread-per-rank
     // engine produced.
-    let db = small_db(50);
-    let queries = sample_queries(&db, 1);
+    let db = small_db(50, 30_000, "nr-pool");
+    let queries = sample_queries(&db, 1, 17);
     let sim = Sim::with_pool(4, 2);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(4),
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let err = sim
         .try_run_faulty(FaultPlan::none(), |ctx| {

@@ -147,7 +147,7 @@ mod collective_io {
                     .collect();
                 let file = MpiFile::open(&comm, &fs2, "f")
                     .with_hints(CollectiveHints { aggregators: aggs });
-                file.write_at_all(&view, &data);
+                file.write_at_all(&view, &data).expect("collective write");
             });
             // Serial oracle.
             let total: usize = per_rank.iter().map(|v| v.len()).sum();

@@ -18,43 +18,22 @@ use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
 use mpiblast::model::PrepareMemo;
 use mpiblast::report::serial_report;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::{Platform, ReportOptions};
 use pioblast::{
     FaultMode, FragmentSchedule, IoOptions, PioBlastConfig, QueryStreamPlan, ServiceMetrics,
     ServiceOptions,
 };
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{FaultPlan, Sim};
 use tracelog::Tracer;
+
+mod common;
+use common::{sample_queries, small_db};
 
 /// Queries the whole stream consumes (kept tiny: every proptest case
 /// pays one one-shot reference run per stream batch).
 const N_QUERIES: usize = 5;
 const MEAN_GAP_NS: u64 = 2_000_000;
-
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(47, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-svc"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
 
 struct ServiceRun {
     /// Per-stream-batch report bytes (`results.txt.q<b>`).
@@ -77,32 +56,16 @@ fn run_service(
     fault: FaultMode,
     fplan: FaultPlan,
 ) -> ServiceRun {
-    let db = small_db();
-    let queries = sample_queries(&db, plan.total_queries());
+    let db = small_db(47, 40_000, "nr-svc");
+    let queries = sample_queries(&db, plan.total_queries(), 13);
     let sim = Sim::new(nranks);
     let tracer = Tracer::new(nranks);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
         fault,
-        checkpoint: false,
-        rank_compute: None,
         threads,
         io: IoOptions {
             io_async,
@@ -113,6 +76,7 @@ fn run_service(
             resident_bytes,
             affinity,
         }),
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let out = sim.run_faulty(fplan, |ctx| {
         (pioblast::run_rank(&ctx, &cfg), ctx.shared::<PrepareMemo>())
@@ -121,7 +85,8 @@ fn run_service(
     let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
     let batches = (0..plan.batches.len())
         .map(|b| {
-            env.shared
+            cfg.env
+                .shared
                 .peek(&format!("results.txt.q{b}"))
                 .unwrap_or_default()
         })
@@ -137,44 +102,25 @@ fn run_service(
 /// Run one stream batch's queries as an ordinary fault-free one-shot
 /// job: the reference bytes its service-mode report must reproduce.
 fn one_shot(nranks: usize, nfrags: usize, queries: &[SeqRecord]) -> Vec<u8> {
-    let db = small_db();
+    let db = small_db(47, 40_000, "nr-svc");
     let sim = Sim::new(nranks);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, queries)
     };
     let out = sim.run_faulty(FaultPlan::none(), |ctx| pioblast::run_rank(&ctx, &cfg));
     assert!(out.killed.is_empty());
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
+    let bytes = cfg.env.shared.peek("results.txt").unwrap_or_default();
     assert!(!bytes.is_empty(), "reference run produced no output");
     bytes
 }
 
 /// Per-batch one-shot reference bytes for `plan` at this cluster shape.
 fn references(nranks: usize, nfrags: usize, plan: &QueryStreamPlan) -> Vec<Vec<u8>> {
-    let db = small_db();
-    let queries = sample_queries(&db, plan.total_queries());
+    let db = small_db(47, 40_000, "nr-svc");
+    let queries = sample_queries(&db, plan.total_queries(), 13);
     let parts = plan.partition(&queries).expect("plan matches its queries");
     parts
         .iter()
@@ -259,8 +205,8 @@ fn prepare_memo_prepares_each_stream_batch_once() {
         FaultPlan::none(),
     );
     assert_eq!(run.prepare_misses, plan.batches.len() as u64);
-    let db = small_db();
-    let queries = sample_queries(&db, plan.total_queries());
+    let db = small_db(47, 40_000, "nr-svc");
+    let queries = sample_queries(&db, plan.total_queries(), 13);
     let parts = plan.partition(&queries).expect("plan matches its queries");
     for (b, (got, part)) in run.batches.iter().zip(parts).enumerate() {
         let want = serial_report(&SearchParams::blastp(), part, &db, ReportOptions::default())

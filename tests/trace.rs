@@ -14,38 +14,15 @@
 //!   is gone).
 
 use blast_bench::runner::PHASE_PRECEDENCE;
-use blast_bench::{run_traced, PioOptions, Program};
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use blast_bench::{run_traced, Program};
+use mpiblast::Platform;
 use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
 use simcluster::{FaultPlan, Sim};
 use tracelog::{analyze, chrome, Lane, Trace, Tracer};
 
-fn small_db(seed: u64) -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(seed, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-trace"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 /// Run a traced pioBLAST job (modeled compute, so virtual time — and
 /// therefore the trace — is a pure function of the configuration).
@@ -56,35 +33,17 @@ fn run_pio_traced(
     fault: FaultMode,
     plan: FaultPlan,
 ) -> (Trace, Vec<usize>) {
-    let db = small_db(db_seed);
-    let queries = sample_queries(&db, 3);
+    let db = small_db(db_seed, 40_000, "nr-trace");
+    let queries = sample_queries(&db, 3, 13);
     let sim = Sim::new(nranks);
     let tracer = Tracer::new(nranks);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
         fault,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let out = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
     let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
@@ -171,14 +130,8 @@ fn plan_clone() -> FaultPlan {
 #[test]
 fn blade_16_proc_trace_is_valid_and_matches_the_summary() {
     let workload = blast_bench::workload::nr_like(60_000, 1024, 29);
-    let (summary, trace) = run_traced(
-        Program::PioBlast,
-        16,
-        None,
-        &Platform::blade_cluster(),
-        &workload,
-        PioOptions::default(),
-    );
+    let blade = Platform::blade_cluster();
+    let (summary, trace) = run_traced(Program::PioBlast, 16, None, &blade, &workload, |_| {});
     assert_eq!(trace.nranks, 16);
     assert_eq!(trace.dropped, 0);
     assert!(trace.wall > 0);

@@ -12,79 +12,39 @@
 //! * identical configurations: the diff is empty, byte-for-byte — the
 //!   determinism contract seen through the diff tool.
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, IoOptions, PioBlastConfig};
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
+use mpiblast::Platform;
+use pioblast::{FragmentSchedule, IoOptions, PioBlastConfig};
 use simcluster::Sim;
 use tracelog::diff::{diff_profiles, profile_chrome, render_diff, TraceDiff};
 use tracelog::{chrome, Tracer};
 
-fn small_db(seed: u64) -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(seed, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-diff"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{sample_queries, small_db};
 
 /// Run a modeled pioBLAST job and return its Chrome export plus the
 /// report bytes.
 fn run_export(threads: usize, io_async: bool) -> (String, Vec<u8>) {
-    let db = small_db(33);
-    let queries = sample_queries(&db, 3);
+    let db = small_db(33, 40_000, "nr-diff");
+    let queries = sample_queries(&db, 3, 13);
     let sim = Sim::new(4);
     let tracer = Tracer::new(4);
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
         num_fragments: Some(6),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
         threads,
         io: IoOptions {
             io_async,
             ..Default::default()
         },
-        service: None,
+        ..PioBlastConfig::staged(&sim, &Platform::altix(), &db, &queries)
     };
     let out = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &out.outputs {
         r.as_ref().expect("rank failed");
     }
-    let report = env.shared.peek("results.txt").expect("report exists");
+    let report = cfg.env.shared.peek("results.txt").expect("report exists");
     let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
     (chrome::export_chrome(&trace, None), report.to_vec())
 }
